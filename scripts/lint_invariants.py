@@ -24,8 +24,11 @@ DESIGN.md §13); this linter keeps the purely textual rules:
                      pixel-binned counting sort (simd histogram_scatter,
                      DESIGN.md §12), and a comparison sort silently
                      reintroduces the O(n log n) per row that PR 9 removed.
-                     Legitimate once-per-compute sorts (the y-sorted
-                     envelope scanner) carry explicit waivers.
+                     The one sort a SLAM compute pays, of its points along
+                     the swept axis, runs once per compute in the engine
+                     (kdv/engine.cc, DESIGN.md §4 item 4), outside this
+                     scope; any other once-per-compute sort here carries an
+                     explicit waiver.
 
   retry-backoff      A loop whose header names a retry/attempt counter must
                      reference a backoff (Backoff/RetryPolicy/

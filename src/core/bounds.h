@@ -22,7 +22,7 @@ struct BoundInterval {
 
 /// Clears `out` and fills it with the interval of every envelope point.
 /// Precondition (Definition 1): |k - p.y| <= bandwidth for all inputs —
-/// guaranteed by FindEnvelope / EnvelopeScanner; DCHECKed here.
+/// guaranteed by FindEnvelope / SortedEnvelopeCursor; DCHECKed here.
 void ComputeBoundIntervals(std::span<const Point> envelope, WorldY k,
                            double bandwidth, std::vector<BoundInterval>* out);
 

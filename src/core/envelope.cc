@@ -13,24 +13,21 @@ void FindEnvelope(std::span<const Point> points, WorldY k, double bandwidth,
   }
 }
 
-EnvelopeScanner::EnvelopeScanner(std::span<const Point> points)
-    : sorted_by_y_(points.begin(), points.end()) {
-  // Once per compute, not per row — the O(n log n) here is amortized over
-  // all Y rows and is exactly what DESIGN.md §4.4 trades it for.
-  std::sort(sorted_by_y_.begin(),  // lint:allow(comparison-sort)
-            sorted_by_y_.end(),
-            [](const Point& a, const Point& b) { return a.y < b.y; });
-}
-
-std::span<const Point> EnvelopeScanner::Envelope(WorldY k,
-                                                 double bandwidth) const {
-  const auto lo = std::lower_bound(
-      sorted_by_y_.begin(), sorted_by_y_.end(), (k - bandwidth).value(),
-      [](const Point& p, double v) { return p.y < v; });
-  const auto hi = std::upper_bound(
-      lo, sorted_by_y_.end(), (k + bandwidth).value(),
-      [](double v, const Point& p) { return v < p.y; });
-  return {lo, hi};
+std::span<const Point> SortedEnvelopeCursor::Advance(WorldY k,
+                                                     double bandwidth) {
+  // FindEnvelope's |k − y| <= b split at its sign (negation is exact, so
+  // the two halves are the same test): drop from the front while the row
+  // is more than b above the point, admit at the back while it is not
+  // more than b below.
+  while (lo_ < points_.size() && k - WorldY(points_[lo_].y) > bandwidth) {
+    ++lo_;
+  }
+  // Points the front just dropped never need admitting at the back.
+  hi_ = std::max(hi_, lo_);
+  while (hi_ < points_.size() && k - WorldY(points_[hi_].y) >= -bandwidth) {
+    ++hi_;
+  }
+  return points_.subspan(lo_, hi_ - lo_);
 }
 
 }  // namespace slam

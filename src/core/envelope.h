@@ -3,14 +3,16 @@
 // R(q) of a pixel in that row is a subset of E(k), so the sweep only ever
 // touches envelope points.
 //
-// Two implementations:
+// Two implementations of the same predicate, |k − p.y| <= b:
 //  * FindEnvelope — the paper's O(n) per-row scan (Lemma 1).
-//  * EnvelopeScanner — our extension (DESIGN.md §4.4): points pre-sorted by
-//    y once, then each row's envelope is a contiguous run found with two
-//    binary searches, O(log n + |E(k)|) per row. Exact, same output order
-//    not guaranteed (order is irrelevant to the sweep's result).
+//  * SortedEnvelopeCursor — our extension (DESIGN.md §4 item 4): over
+//    points sorted by y, each row's envelope is a contiguous run kept by
+//    two forward-only cursors, O(|E(k)| + Δ) per row after one O(n log n)
+//    sort. It yields exactly FindEnvelope's sequence on the same sorted
+//    input.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -26,18 +28,26 @@ namespace slam {
 void FindEnvelope(std::span<const Point> points, WorldY k, double bandwidth,
                   std::vector<Point>* out);
 
-class EnvelopeScanner {
+/// Walks the rows of a sweep over points sorted by y (ascending, by `<`).
+/// k − p.y only falls as p.y grows and only rises as k grows (rounding is
+/// monotone), so the points the scan drops for being below the row
+/// (k − p.y > b) are a prefix of the sorted order, the points it would
+/// admit (k − p.y >= −b) are a longer prefix, and both prefixes only grow
+/// from one row to the next. The envelope is the run between them.
+class SortedEnvelopeCursor {
  public:
-  /// Sorts a copy of the points by y (O(n log n), once per KDV).
-  explicit EnvelopeScanner(std::span<const Point> points);
+  /// `sorted_by_y` must outlive the cursor.
+  explicit SortedEnvelopeCursor(std::span<const Point> sorted_by_y)
+      : points_(sorted_by_y) {}
 
-  /// The envelope as a contiguous span of the y-sorted points.
-  std::span<const Point> Envelope(WorldY k, double bandwidth) const;
-
-  size_t size() const { return sorted_by_y_.size(); }
+  /// E(k) as a subspan of the sorted points. Rows must come in
+  /// non-decreasing k with the same bandwidth; the cursors never step back.
+  std::span<const Point> Advance(WorldY k, double bandwidth);
 
  private:
-  std::vector<Point> sorted_by_y_;
+  std::span<const Point> points_;
+  size_t lo_ = 0;  // first point not dropped (k − y <= b)
+  size_t hi_ = 0;  // first point not admitted (k − y < −b)
 };
 
 }  // namespace slam

@@ -12,9 +12,9 @@ thread_local bool t_thread_arena_in_use = false;
 
 }  // namespace
 
-void SweepArena::PrepareCompute(size_t num_points, const GridAxis& xs) {
-  ex.resize(num_points);
-  ey.resize(num_points);
+void SweepArena::PrepareCompute(size_t envelope_lanes, const GridAxis& xs) {
+  ex.resize(envelope_lanes);
+  ey.resize(envelope_lanes);
   const size_t pixels = CheckedSize(xs.count);
   // size_t arithmetic: pixels + 2 overflows `int` when the axis is within
   // 2 pixels of INT_MAX (regression test in tests/kdv/grid_overflow_test.cc).
@@ -60,6 +60,19 @@ size_t SweepArena::HeapBytes() const {
           lower_cursor.capacity() + upper_cursor.capacity()) *
              sizeof(int32_t) +
          scratch.HeapBytes();
+}
+
+void SweepArena::ShrinkToFit() {
+  for (std::vector<double>* lane : {&ex, &ey, &lb, &ub, &lower_px, &lower_py,
+                                    &upper_px, &upper_py, &qx}) {
+    lane->shrink_to_fit();
+  }
+  for (std::vector<int32_t>* lane :
+       {&lower_idx, &upper_idx, &lower_offsets, &upper_offsets, &lower_cursor,
+        &upper_cursor}) {
+    lane->shrink_to_fit();
+  }
+  scratch = RowSweepScratch();
 }
 
 void SweepArena::Release() {

@@ -11,9 +11,11 @@
 // for the duration of that compute. Between computes the thread arena holds
 // its memory uncharged — it is a thread cache, like a malloc arena; the
 // engine's pre-flight (EstimateAuxiliarySpaceBytes) still sees the full
-// per-compute footprint. A compute whose charge fails must call Release()
-// before surfacing the error so a tightened budget is honored on the next
-// attempt rather than failing forever against cached capacity.
+// per-compute footprint. A compute whose charge fails must first
+// ShrinkToFit() and charge again — the excess may be capacity an earlier,
+// larger compute on this thread left behind — and, if that fails too,
+// Release() before surfacing the error, so a tightened budget is honored
+// on the next attempt rather than failing forever against cached capacity.
 #pragma once
 
 #include <cstddef>
@@ -44,12 +46,13 @@ struct SweepArena {
   std::vector<double> qx;
   RowSweepScratch scratch;
 
-  /// Sizes the per-compute lanes: envelope lanes to the full point count
-  /// (the dispatched filter writes survivors through a raw cursor, whole
-  /// registers at a time — see SimdOps::envelope_filter), offset/cursor
-  /// arrays to the pixel axis, and qx filled unless the cache key (origin,
-  /// gap, count) already matches.
-  void PrepareCompute(size_t num_points, const GridAxis& xs);
+  /// Sizes the per-compute lanes: envelope lanes to `envelope_lanes` —
+  /// the full point count when the rows scan (the dispatched filter writes
+  /// survivors through a raw cursor, whole registers at a time — see
+  /// SimdOps::envelope_filter), the widest envelope when they slice sorted
+  /// points — offset/cursor arrays to the pixel axis, and qx filled unless
+  /// the cache key (origin, gap, count) already matches.
+  void PrepareCompute(size_t envelope_lanes, const GridAxis& xs);
 
   /// Sizes the per-row endpoint lanes for `num_endpoints` envelope points.
   void PrepareRow(size_t num_endpoints);
@@ -57,6 +60,11 @@ struct SweepArena {
   /// Heap held by the arena, accounted against the borrowing compute's
   /// memory budget.
   size_t HeapBytes() const;
+
+  /// Frees the capacity beyond every lane's current size and the row
+  /// sweep's scratch (which the next row_sweep regrows), keeping the
+  /// contents of the sized lanes: what remains is what this compute uses.
+  void ShrinkToFit();
 
   /// Frees every lane (and invalidates the qx cache) so a failed budget
   /// charge is not sticky across computes.

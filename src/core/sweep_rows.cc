@@ -1,7 +1,7 @@
 #include "core/sweep_rows.h"
 
+#include <algorithm>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -16,18 +16,43 @@ namespace slam {
 
 namespace {
 
-/// Copies an AoS envelope span (from the y-sorted scanner) into the SoA
-/// lanes (caller-sized to the full point count) and returns its size.
-/// The lanes are typed at this boundary (TypedLane, util/units.h): the
-/// compiler rejects scattering a y coordinate into the x lane; only the
+/// Copies an AoS envelope span (a run of the y-sorted points) into the SoA
+/// lanes. The lanes are typed at this boundary (TypedLane, util/units.h):
+/// the compiler rejects scattering a y coordinate into the x lane; only the
 /// dispatched backends below ever see the raw doubles.
-size_t SoaFromSpan(std::span<const Point> envelope, TypedLane<WorldX> ex,
-                   TypedLane<WorldY> ey) {
+void SoaFromSpan(std::span<const Point> envelope, TypedLane<WorldX> ex,
+                 TypedLane<WorldY> ey) {
   for (size_t i = 0; i < envelope.size(); ++i) {
     ex.Store(i, WorldX(envelope[i].x));
     ey.Store(i, WorldY(envelope[i].y));
   }
-  return envelope.size();
+}
+
+/// The largest envelope any row of the sweep sees, from one dry walk of
+/// the cursor (O(n + Y) comparisons): sizing every lane to it up front
+/// means no row resizes, and a fresh arena holds exactly that much.
+size_t WidestEnvelope(const KdvTask& task) {
+  SortedEnvelopeCursor cursor(task.points);
+  size_t widest = 0;
+  for (RowIndex iy(0); iy < RowIndex(task.grid.height()); ++iy) {
+    widest = std::max(
+        widest, cursor.Advance(task.grid.YCoord(iy), task.bandwidth).size());
+  }
+  return widest;
+}
+
+/// Brings the compute's charge to the arena's heap. On a refusal the
+/// excess may be capacity an earlier, larger compute on this thread left
+/// in the arena, so that is dropped and the charge retried before the
+/// refusal stands; a standing refusal frees everything, because the arena
+/// outlives this compute and must not stay too big for the thread's next
+/// (possibly smaller) task.
+Status ChargeArena(SweepArena* ws, ScopedMemoryCharge* charge) {
+  if (charge->Update(ws->HeapBytes()).ok()) return Status::OK();
+  ws->ShrinkToFit();
+  Status charged = charge->Update(ws->HeapBytes());
+  if (!charged.ok()) ws->Release();
+  return charged;
 }
 
 }  // namespace
@@ -54,31 +79,40 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                                                            task.grid.height()));
   const ExecContext* exec = options.exec;
   ScopedMemoryCharge charge(exec, labels.workspace);
-  // The y-sorted scanner is an optional exact optimization; Algorithms 1-2
-  // rescan all n points per row.
-  std::unique_ptr<EnvelopeScanner> scanner;
-  if (options.incremental_envelope) {
-    SLAM_RETURN_NOT_OK(charge.Update(task.points.size() * sizeof(Point)));
-    scanner = std::make_unique<EnvelopeScanner>(task.points);
-  }
-  const size_t scanner_bytes = scanner ? scanner->size() * sizeof(Point) : 0;
+  // Points sorted by y — the engine's swept copy (kdv/engine.cc) — hand
+  // every row its envelope as a run of the sorted order, the same points
+  // in the same order the scan would emit. Anything else gets Algorithms
+  // 1-2's rescan of all n points per row.
+  const bool sorted =
+      std::is_sorted(task.points.begin(), task.points.end(),
+                     [](const Point& a, const Point& b) { return a.y < b.y; });
+  SortedEnvelopeCursor cursor(task.points);
 
   const GridAxis& xs = task.grid.x_axis();
   const RowIndex rows(task.grid.height());
   ScopedArena ws;
-  ws->PrepareCompute(task.points.size(), xs);
+  // The scan writes survivors through a raw cursor into envelope lanes
+  // sized to all n points (SimdOps::envelope_filter); slices are copied
+  // into lanes sized once to the widest envelope.
+  const size_t widest = sorted ? WidestEnvelope(task) : 0;
+  ws->PrepareCompute(sorted ? widest : task.points.size(), xs);
+  if (sorted) ws->PrepareRow(widest);
   for (RowIndex iy(0); iy < rows; ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(exec, labels.row));
     const WorldY k = task.grid.YCoord(iy);
     const Point origin = RowLocalOrigin(xs, k);
-    const size_t lane_size = task.points.size();
-    const size_t m =
-        scanner ? SoaFromSpan(scanner->Envelope(k, task.bandwidth),
-                              TypedLane<WorldX>(ws->ex.data(), lane_size),
-                              TypedLane<WorldY>(ws->ey.data(), lane_size))
-                : ops->envelope_filter(task.points, k.value(), task.bandwidth,
-                                       ws->ex.data(), ws->ey.data());
-    ws->PrepareRow(m);
+    size_t m = 0;
+    if (sorted) {
+      const std::span<const Point> envelope =
+          cursor.Advance(k, task.bandwidth);
+      m = envelope.size();
+      SoaFromSpan(envelope, TypedLane<WorldX>(ws->ex.data(), m),
+                  TypedLane<WorldY>(ws->ey.data(), m));
+    } else {
+      m = ops->envelope_filter(task.points, k.value(), task.bandwidth,
+                               ws->ex.data(), ws->ey.data());
+      ws->PrepareRow(m);
+    }
     ops->bound_intervals(ws->ex.data(), ws->ey.data(), m, k.value(),
                          task.bandwidth, ws->lb.data(), ws->ub.data());
     ops->bucket_indices(ws->lb.data(), ws->ub.data(), m, xs,
@@ -103,14 +137,7 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
     hs.upper_py = ws->upper_py.data();
     ops->histogram_scatter(hs);
 
-    if (Status charged = charge.Update(scanner_bytes + ws->HeapBytes());
-        !charged.ok()) {
-      // Drop the cached capacity before surfacing the failure: the arena
-      // outlives this compute, and a budget refusal must not be sticky for
-      // the thread's next (possibly smaller) task.
-      ws->Release();
-      return charged;
-    }
+    SLAM_RETURN_NOT_OK(ChargeArena(&*ws, &charge));
 
     RowSweepArgs args;
     args.kernel = task.kernel;

@@ -22,6 +22,10 @@ struct SweepMethodLabels {
   const char* row;        // per-row checkpoint site, e.g. "slam_sort/row"
 };
 
+/// Runs the row passes over every row of `task`. Points sorted by y
+/// (ascending, by `<`), as ComputeKdv hands them to the SLAM methods, give
+/// each row its envelope as a run of the input (SortedEnvelopeCursor);
+/// any other order gets pass 1's scan of all points on every row.
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                             const SweepMethodLabels& labels, DensityMap* out);
 

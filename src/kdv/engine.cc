@@ -1,5 +1,6 @@
 #include "kdv/engine.h"
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -58,6 +59,54 @@ MethodFn Dispatch(Method method) {
       return &ComputeSlamBucketRao;
   }
   return nullptr;
+}
+
+bool MethodIsRao(Method method) {
+  return method == Method::kSlamSortRao || method == Method::kSlamBucketRao;
+}
+
+/// The SLAM methods' one copy of the input (DESIGN.md §4 item 4): the
+/// points that can reach a swept line, recentered by `shift`, stable-sorted
+/// by the coordinate s the sweep will cut envelopes on (x when RAO will
+/// transpose, else y), so every line's envelope is a run of the sorted
+/// order (core/sweep_rows.cc). A point is kept iff k_first − s <= b and
+/// k_last − s >= −b: k − s only rises with k, so that keeps every point the
+/// scan's |k − s| <= b admits at some line. Fills `*points` and `*swept`
+/// (the task over the copy and the shifted grid); `charge` pays for the
+/// copy.
+Status CopySweptPoints(const KdvTask& task, Point shift, bool transposes,
+                       ScopedMemoryCharge* charge, std::vector<Point>* points,
+                       KdvTask* swept) {
+  *swept = task;
+  swept->grid = task.grid.Translated(shift.x, shift.y);
+  const GridAxis& lines =
+      transposes ? swept->grid.x_axis() : swept->grid.y_axis();
+  const double first = lines.Coord(0);
+  const double last = lines.last();
+  const double b = task.bandwidth;
+  const auto reaches = [&](const Point& p) {
+    const double s = transposes ? p.x - shift.x : p.y - shift.y;
+    return first - s <= b && last - s >= -b;
+  };
+  const auto kept = static_cast<size_t>(
+      std::count_if(task.points.begin(), task.points.end(), reaches));
+  // The copy, plus std::stable_sort's merge buffer (at most a second copy)
+  // until the sort returns.
+  SLAM_RETURN_NOT_OK(charge->Update(2 * kept * sizeof(Point)));
+  points->reserve(kept);
+  for (const Point& p : task.points) {
+    if (reaches(p)) points->push_back({p.x - shift.x, p.y - shift.y});
+  }
+  if (transposes) {
+    std::stable_sort(points->begin(), points->end(),
+                     [](const Point& a, const Point& c) { return a.x < c.x; });
+  } else {
+    std::stable_sort(points->begin(), points->end(),
+                     [](const Point& a, const Point& c) { return a.y < c.y; });
+  }
+  SLAM_RETURN_NOT_OK(charge->Update(kept * sizeof(Point)));
+  swept->points = *points;
+  return Status::OK();
 }
 
 }  // namespace
@@ -173,14 +222,27 @@ Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
   }
   DensityMap map;
   // Recentering only pays off when the coordinates are ill-conditioned for
-  // the subtractive aggregate forms; skipping it otherwise keeps
-  // well-conditioned tasks copy-free and bitwise stable across releases.
-  if (options.recenter_coordinates && TaskFarFromOrigin(run_task)) {
+  // the subtractive aggregate forms; well-conditioned tasks are computed
+  // unshifted.
+  const bool recenter =
+      options.recenter_coordinates && TaskFarFromOrigin(run_task);
+  const Point c =
+      recenter
+          ? Point{run_task.grid.x_axis().Coord(run_task.grid.width() / 2),
+                  run_task.grid.y_axis().Coord(run_task.grid.height() / 2)}
+          : Point{0.0, 0.0};
+  if (MethodIsSlam(method)) {
+    ScopedMemoryCharge swept_charge(exec, "engine/swept_points");
+    std::vector<Point> swept_points;
+    KdvTask swept;
+    SLAM_RETURN_NOT_OK(CopySweptPoints(
+        run_task, c, MethodIsRao(method) && RaoWouldTranspose(run_task),
+        &swept_charge, &swept_points, &swept));
+    SLAM_RETURN_NOT_OK(fn(swept, run_options.compute, &map));
+  } else if (recenter) {
     ScopedMemoryCharge recenter_charge(exec, "engine/recentered_points");
     SLAM_RETURN_NOT_OK(
         recenter_charge.Update(run_task.points.size() * sizeof(Point)));
-    const Point c = {run_task.grid.x_axis().Coord(run_task.grid.width() / 2),
-                     run_task.grid.y_axis().Coord(run_task.grid.height() / 2)};
     const TranslatedTask translated(run_task, c.x, c.y);
     SLAM_RETURN_NOT_OK(fn(translated.task(), run_options.compute, &map));
   } else {
@@ -210,18 +272,22 @@ size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
     case Method::kSlamSortRao:
     case Method::kSlamBucket:
     case Method::kSlamBucketRao: {
-      // Both sweep methods run the shared counting-sort driver
-      // (core/sweep_rows.cc) on one SweepArena: SoA envelope + interval +
-      // scattered endpoint lanes (8 doubles per point) + per-endpoint
-      // bucket indices (2 int32), plus bucket offset/cursor arrays and the
-      // per-pixel lanes (<= 12 snapshot channels + qx, 13 doubles per
-      // pixel) spanning the swept axis. RAO sweeps min(X, Y) lines of
-      // max(X, Y) pixels, so its per-pixel arrays span the longer axis.
-      const size_t x = static_cast<size_t>((method == Method::kSlamSortRao ||
-                                            method == Method::kSlamBucketRao)
-                                               ? std::max(width, height)
-                                               : width);
-      return n * (point_bytes + sizeof(double) * 8 + sizeof(int32_t) * 2) +
+      // The engine's swept copy of the points (one Point each), RAO's
+      // transposed copy of it when Y > X (one more), then the shared
+      // counting-sort driver (core/sweep_rows.cc) on one SweepArena: SoA
+      // envelope + interval + scattered endpoint lanes (8 doubles per
+      // point) + per-endpoint bucket indices (2 int32), plus bucket
+      // offset/cursor arrays and the per-pixel lanes (<= 12 snapshot
+      // channels + qx, 13 doubles per pixel) spanning the swept axis. The
+      // copy's sort buffer (one more Point each) is freed before the arena
+      // is charged, so the arena's per-point term covers it. RAO sweeps
+      // min(X, Y) lines of max(X, Y) pixels, so its per-pixel arrays span
+      // the longer axis.
+      const bool transposes = MethodIsRao(method) && height > width;
+      const size_t x = static_cast<size_t>(transposes ? height : width);
+      const size_t copies = transposes ? 2 : 1;
+      return n * (copies * point_bytes + sizeof(double) * 8 +
+                  sizeof(int32_t) * 2) +
              (x + 2) * sizeof(int32_t) * 4 + x * sizeof(double) * 13;
     }
   }

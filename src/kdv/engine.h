@@ -1,6 +1,8 @@
 // KdvEngine: single entry point over all ten KDV methods of the paper's
 // Table 6. Validates the task, optionally recenters coordinates for
-// floating-point conditioning, dispatches, and returns the density raster.
+// floating-point conditioning, hands the SLAM methods their points sorted
+// along the swept axis (DESIGN.md §4 item 4), dispatches, and returns the
+// density raster.
 #pragma once
 
 #include <span>
@@ -43,11 +45,13 @@ struct EngineOptions {
   ComputeOptions compute;
   /// Translate points and grid so the viewport center sits at the origin
   /// before computing. Improves conditioning of the aggregate arithmetic
-  /// when coordinates are large (e.g. projected meters with a far datum);
-  /// costs one O(n) copy. The result is identical up to FP rounding.
-  /// On by default since PR 3; the copy is only actually made when the
-  /// viewport center's magnitude dwarfs its extent (TaskFarFromOrigin), so
-  /// well-conditioned tasks pay nothing and stay bitwise identical.
+  /// when coordinates are large (e.g. projected meters with a far datum).
+  /// The result is identical up to FP rounding. On by default; the shift
+  /// is only applied when the viewport center's magnitude dwarfs its
+  /// extent (TaskFarFromOrigin). The four SLAM methods always copy the
+  /// points they can reach, sorted along the swept axis, and apply the
+  /// shift in that copy; the other methods make a recentered copy only
+  /// when the shift applies, so well-conditioned tasks stay copy-free.
   bool recenter_coordinates = true;
   /// Opt-in input sanitization: drop points with NaN/Inf coordinates (one
   /// O(n) copy, warning logged with the dropped count) instead of failing

@@ -43,10 +43,6 @@ struct ComputeOptions {
   double akde_epsilon = 1e-6;
   /// QUAD baseline: bound-gap tolerance; 0 = exact filter-and-refine.
   double quad_epsilon = 0.0;
-  /// SLAM methods: find each row's envelope from a y-sorted copy with two
-  /// binary searches instead of the paper's O(n) per-row scan. Exact either
-  /// way; off by default for faithfulness to Algorithm 1/2 (DESIGN.md §4.4).
-  bool incremental_envelope = false;
   /// Sweep methods: accumulate the L/U aggregates with Neumaier-compensated
   /// summation so long rows (millions of endpoint passes) don't drift. On
   /// by default — roughly doubles the per-endpoint add cost, which is

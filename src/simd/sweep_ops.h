@@ -3,7 +3,8 @@
 //
 // A row sweep decomposes into five data-parallel passes:
 //   1. envelope_filter — E(k) membership test over all points, emitting the
-//      survivors as SoA coordinate lanes (x[], y[]).
+//      survivors as SoA coordinate lanes (x[], y[]). Points sorted by y
+//      skip it: their envelope is a run of the input (core/sweep_rows.cc).
 //   2. bound_intervals — per envelope point, the sweep interval
 //      [p.x − √(b² − dy²), p.x + √(b² − dy²)] (paper Eqs. 8–9) into
 //      contiguous lb[]/ub[] lanes.

@@ -31,7 +31,7 @@ Grid BoundaryGrid() {
 
 TEST(BoundaryTest, EnvelopeIncludesRowAtDistanceExactlyB) {
   const std::vector<Point> points = {{3.5, 3.5}};
-  const EnvelopeScanner scanner(points);
+  SortedEnvelopeCursor cursor(points);
   std::vector<Point> found;
   // Rows exactly b above and below the point: Definition 1 is inclusive.
   for (const double k : {3.5 - kBandwidth, 3.5 + kBandwidth}) {
@@ -39,8 +39,8 @@ TEST(BoundaryTest, EnvelopeIncludesRowAtDistanceExactlyB) {
     ASSERT_EQ(found.size(), 1u) << "FindEnvelope at k=" << k;
     EXPECT_EQ(found[0].x, 3.5);
     EXPECT_EQ(found[0].y, 3.5);
-    const auto span = scanner.Envelope(WorldY(k), kBandwidth);
-    ASSERT_EQ(span.size(), 1u) << "EnvelopeScanner at k=" << k;
+    const auto span = cursor.Advance(WorldY(k), kBandwidth);
+    ASSERT_EQ(span.size(), 1u) << "SortedEnvelopeCursor at k=" << k;
     EXPECT_EQ(span[0].x, found[0].x);
     EXPECT_EQ(span[0].y, found[0].y);
   }
@@ -50,7 +50,7 @@ TEST(BoundaryTest, EnvelopeIncludesRowAtDistanceExactlyB) {
   const double beyond = std::nextafter(3.5 + kBandwidth, 10.0);
   FindEnvelope(points, WorldY(beyond), kBandwidth, &found);
   EXPECT_TRUE(found.empty());
-  EXPECT_TRUE(scanner.Envelope(WorldY(beyond), kBandwidth).empty());
+  EXPECT_TRUE(cursor.Advance(WorldY(beyond), kBandwidth).empty());
 }
 
 TEST(BoundaryTest, BoundIntervalsAtExactRowDistanceCollapseToPoint) {

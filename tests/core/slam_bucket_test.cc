@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/slam_sort.h"
+#include "kdv/engine.h"
 #include "testing/test_util.h"
 
 namespace slam {
@@ -52,15 +55,48 @@ TEST(SlamBucketTest, AgreesWithSlamSortExactly) {
 }
 
 TEST(SlamBucketTest, IncrementalEnvelopeGivesSameResult) {
+  // The engine sweeps a y-sorted copy, slicing each row's envelope out of
+  // it; a direct call on unsorted points rescans all n per row (Algorithm
+  // 2). Same envelopes, summed in another order.
   const auto pts = ClusteredPoints(500, 60.0, 3, 271);
+  ASSERT_FALSE(std::is_sorted(
+      pts.begin(), pts.end(),
+      [](const Point& a, const Point& b) { return a.y < b.y; }));
   const KdvTask task =
       MakeBucketTask(pts, KernelType::kUniform, 8.0, 20, 20, 60.0);
-  DensityMap default_env, incremental_env;
-  ASSERT_TRUE(ComputeSlamBucket(task, {}, &default_env).ok());
-  ComputeOptions opts;
-  opts.incremental_envelope = true;
-  ASSERT_TRUE(ComputeSlamBucket(task, opts, &incremental_env).ok());
-  ExpectMapsNear(default_env, incremental_env, 1e-12);
+  DensityMap scanned;
+  ASSERT_TRUE(ComputeSlamBucket(task, {}, &scanned).ok());
+  const auto sliced = ComputeKdv(task, Method::kSlamBucket);
+  ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+  ExpectMapsNear(scanned, *sliced, 1e-12);
+}
+
+TEST(SlamBucketTest, SortedPointsSliceTheScansEnvelopesBitForBit) {
+  // On y-sorted points each row's envelope is a slice of the input. One
+  // extra point beyond every row's reach leaves the envelopes as they are
+  // but unsorts the input, so those rows rescan all points instead — and
+  // the scan emits the slice's points in the slice's order, so the rasters
+  // agree bit for bit.
+  std::vector<Point> sorted = ClusteredPoints(800, 60.0, 4, 277);
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Point& a, const Point& b) { return a.y < b.y; });
+  std::vector<Point> unsorted = sorted;
+  unsorted.insert(unsorted.begin(), Point{30.0, 1e6});
+  const KdvTask sliced =
+      MakeBucketTask(sorted, KernelType::kQuartic, 7.0, 24, 18, 60.0);
+  KdvTask scanned = sliced;
+  scanned.points = unsorted;
+  for (const auto compute : {&ComputeSlamBucket, &ComputeSlamSort}) {
+    DensityMap from_slices, from_scan;
+    ASSERT_TRUE(compute(sliced, {}, &from_slices).ok());
+    ASSERT_TRUE(compute(scanned, {}, &from_scan).ok());
+    for (int iy = 0; iy < sliced.grid.height(); ++iy) {
+      for (int ix = 0; ix < sliced.grid.width(); ++ix) {
+        ASSERT_EQ(from_slices.at(ix, iy), from_scan.at(ix, iy))
+            << "pixel (" << ix << ", " << iy << ")";
+      }
+    }
+  }
 }
 
 TEST(SlamBucketTest, EmptyPointsGiveZeroRaster) {

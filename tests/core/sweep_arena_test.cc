@@ -1,15 +1,18 @@
 // The per-thread sweep arena (core/sweep_arena.h, DESIGN.md §12): the
 // borrow discipline (one borrower per thread, nested borrows fall back to
-// a private heap), the qx cache key, Release() after a failed budget
-// charge, and — the property the whole refactor rests on — that reusing
-// grown lanes across computes never bleeds one task's stale endpoints
-// into the next task's density.
+// a private heap), the qx cache key, ShrinkToFit() and Release() around a
+// refused budget charge, and — the property the whole refactor rests on —
+// that reusing grown lanes across computes never bleeds one task's stale
+// endpoints into the next task's density.
 #include "core/sweep_arena.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/slam_bucket.h"
 #include "core/slam_sort.h"
 #include "core/sweep_state.h"
 #include "kdv/engine.h"
@@ -101,6 +104,31 @@ TEST(SweepArenaTest, HeapBytesGrowsWithLanesAndReleaseDropsToZero) {
   EXPECT_DOUBLE_EQ(arena.qx[1] - arena.qx[0], xs.gap);
 }
 
+TEST(SweepArenaTest, ShrinkToFitKeepsOnlyTheSizedLanes) {
+  SweepArena arena;
+  const GridAxis xs{0.0, 1.0, 64};
+  arena.PrepareCompute(1000, xs);
+  arena.PrepareRow(500);
+  arena.scratch.lanes.resize(64 * 12);
+  // A smaller compute on the same arena keeps the big one's capacity...
+  arena.PrepareCompute(10, xs);
+  arena.PrepareRow(5);
+  for (size_t i = 0; i < 10; ++i) arena.ex[i] = static_cast<double>(i);
+  const size_t sized =
+      (10 + 10 + 6 * 5 + 64) * sizeof(double) +
+      (2 * 5 + 2 * (64 + 2) + 2 * (64 + 1)) * sizeof(int32_t);
+  EXPECT_GT(arena.HeapBytes(), sized);
+  // ...until ShrinkToFit drops everything past the sized lanes, scratch
+  // included, without touching what the sized lanes hold.
+  arena.ShrinkToFit();
+  EXPECT_EQ(arena.HeapBytes(), sized);
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(arena.ex[i], static_cast<double>(i));
+  }
+  ASSERT_EQ(arena.qx.size(), 64u);
+  EXPECT_DOUBLE_EQ(arena.qx[1] - arena.qx[0], xs.gap);
+}
+
 TEST(SweepArenaTest, ReuseAcrossComputesDoesNotBleedStaleLanes) {
   // Render a small task, then a much larger one (growing every arena lane
   // and leaving it full of the big task's endpoints), then the small one
@@ -126,23 +154,38 @@ TEST(SweepArenaTest, ReuseAcrossComputesDoesNotBleedStaleLanes) {
   big.bandwidth = 90.0;
   big.weight = 1.0 / 3000.0;
 
-  for (const Method method : {Method::kSlamSort, Method::kSlamBucket}) {
-    SCOPED_TRACE(MethodName(method));
-    const auto first = ComputeKdv(small, method, {});
-    ASSERT_TRUE(first.ok()) << first.status().ToString();
-    const auto grow = ComputeKdv(big, method, {});
-    ASSERT_TRUE(grow.ok()) << grow.status().ToString();
-    // The thread arena kept the big task's capacity (that is the point of
-    // the cache)...
-    EXPECT_GE(ThreadSweepArenaForTest().ex.capacity(), 3000u);
-    const auto second = ComputeKdv(small, method, {});
-    ASSERT_TRUE(second.ok()) << second.status().ToString();
-    // ...and the rerun is bit-identical to the pre-growth run: same code
-    // path, same backend, so any difference is stale-lane bleed.
-    for (int iy = 0; iy < small.grid.height(); ++iy) {
-      for (int ix = 0; ix < small.grid.width(); ++ix) {
-        ASSERT_EQ(first->at(ix, iy), second->at(ix, iy))
-            << "pixel (" << ix << ", " << iy << ")";
+  // Through the engine each row slices a y-sorted copy; directly on the
+  // unsorted points each row rescans all of them. Both reuse the lanes.
+  for (const bool engine : {true, false}) {
+    for (const Method method : {Method::kSlamSort, Method::kSlamBucket}) {
+      SCOPED_TRACE(std::string(MethodName(method)) +
+                   (engine ? " via ComputeKdv" : " direct"));
+      const auto run = [&](const KdvTask& task) -> Result<DensityMap> {
+        if (engine) return ComputeKdv(task, method, {});
+        DensityMap out;
+        SLAM_RETURN_NOT_OK(method == Method::kSlamSort
+                               ? ComputeSlamSort(task, {}, &out)
+                               : ComputeSlamBucket(task, {}, &out));
+        return out;
+      };
+      ThreadSweepArenaForTest().Release();
+      const auto first = run(small);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      const size_t small_heap = ThreadSweepArenaForTest().HeapBytes();
+      const auto grow = run(big);
+      ASSERT_TRUE(grow.ok()) << grow.status().ToString();
+      // The thread arena kept the big task's capacity (that is the point
+      // of the cache)...
+      EXPECT_GT(ThreadSweepArenaForTest().HeapBytes(), small_heap);
+      const auto second = run(small);
+      ASSERT_TRUE(second.ok()) << second.status().ToString();
+      // ...and the rerun is bit-identical to the pre-growth run: same code
+      // path, same backend, so any difference is stale-lane bleed.
+      for (int iy = 0; iy < small.grid.height(); ++iy) {
+        for (int ix = 0; ix < small.grid.width(); ++ix) {
+          ASSERT_EQ(first->at(ix, iy), second->at(ix, iy))
+              << "pixel (" << ix << ", " << iy << ")";
+        }
       }
     }
   }
@@ -181,6 +224,67 @@ TEST(SweepArenaTest, BudgetFailureReleasesCachedCapacity) {
   // And the thread recovers: without the budget the same task runs again.
   DensityMap retry;
   EXPECT_TRUE(ComputeSlamSort(task, {}, &retry).ok());
+}
+
+TEST(SweepArenaTest, BudgetedComputeIsNotChargedForAnEarlierComputesCapacity) {
+  // An unbudgeted big compute leaves the thread arena far larger than a
+  // small compute needs. A budget that fits the small compute — twice its
+  // pre-flight estimate — must still let it run: the sweep drops the
+  // stale capacity and charges again instead of refusing.
+  const double extent = 1000.0;
+  const std::vector<Point> big_points =
+      RandomPoints(60000, extent, /*seed=*/0x3C);
+  const std::vector<Point> small_points =
+      RandomPoints(3000, extent, /*seed=*/0x4D);
+  KdvTask big;
+  big.points = big_points;
+  big.grid = MakeGrid(320, 240, extent);
+  big.bandwidth = 40.0;
+  big.weight = 1.0 / 60000.0;
+  KdvTask small;
+  small.points = small_points;
+  small.grid = MakeGrid(64, 48, extent);
+  small.bandwidth = 40.0;
+  small.weight = 1.0 / 3000.0;
+  const size_t limit =
+      2 * EstimateAuxiliarySpaceBytes(Method::kSlamBucket, 3000, 64, 48);
+
+  const auto unbudgeted = ComputeKdv(small, Method::kSlamBucket, {});
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
+  for (const bool engine : {true, false}) {
+    SCOPED_TRACE(engine ? "via ComputeKdv" : "direct");
+    // The direct call on unsorted points sizes the scan's lanes to all
+    // 60000 points; that is the capacity left behind.
+    DensityMap grown;
+    ASSERT_TRUE(ComputeSlamBucket(big, {}, &grown).ok());
+    ASSERT_GT(ThreadSweepArenaForTest().HeapBytes(), limit);
+
+    MemoryBudget budget(limit);
+    ExecContext exec;
+    exec.set_memory_budget(&budget);
+    DensityMap out;
+    if (engine) {
+      EngineOptions options;
+      options.compute.exec = &exec;
+      auto map = ComputeKdv(small, Method::kSlamBucket, options);
+      ASSERT_TRUE(map.ok()) << map.status().ToString();
+      out = *std::move(map);
+      // Shrinking kept every live lane's contents: same raster.
+      for (int iy = 0; iy < small.grid.height(); ++iy) {
+        for (int ix = 0; ix < small.grid.width(); ++ix) {
+          ASSERT_EQ(unbudgeted->at(ix, iy), out.at(ix, iy))
+              << "pixel (" << ix << ", " << iy << ")";
+        }
+      }
+    } else {
+      ComputeOptions options;
+      options.exec = &exec;
+      const Status st = ComputeSlamBucket(small, options, &out);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    EXPECT_LE(budget.peak_bytes(), limit);
+    EXPECT_EQ(budget.used_bytes(), 0u);
+  }
 }
 
 }  // namespace

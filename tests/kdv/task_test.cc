@@ -118,7 +118,6 @@ TEST(ComputeOptionsTest, Defaults) {
   EXPECT_GT(opts.zorder_epsilon, 0.0);
   EXPECT_GE(opts.akde_epsilon, 0.0);
   EXPECT_EQ(opts.quad_epsilon, 0.0);
-  EXPECT_FALSE(opts.incremental_envelope);
 }
 
 }  // namespace
