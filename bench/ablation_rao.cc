@@ -1,8 +1,12 @@
 // Ablation benchmarks (google-benchmark) for the design choices DESIGN.md
 // §4 calls out:
 //  1. RAO on/off across viewport aspect ratios at constant pixel count —
-//     RAO should only matter (and always help) when Y > X.
-//  2. SLAM_SORT vs SLAM_BUCKET at growing n — the log n gap.
+//     RAO only changes the run when Y > X, where it sweeps the min(X, Y)
+//     columns instead of the rows.
+//  2. SLAM_SORT vs SLAM_BUCKET at growing n. Both names run the same
+//     five passes with the counting sort (DESIGN.md §12), so the pair
+//     measures one code path twice; Algorithm 1's comparison sort is not
+//     in the code (ROADMAP item 3).
 //  3. The engine's sorted envelope slices vs the paper's per-row scan.
 #include <benchmark/benchmark.h>
 
@@ -53,7 +57,9 @@ BENCHMARK(BM_AspectRatio)
     ->Args({32, 512, 1})
     ->Unit(benchmark::kMillisecond);
 
-/// Sort vs bucket at growing dataset sizes (Theorem 1 vs Theorem 2).
+/// The two method names at growing dataset sizes, called directly on
+/// unsorted points: both scan every point per row and bucket the
+/// endpoints, so their times should agree within noise.
 void BM_SortVsBucket(benchmark::State& state) {
   const bool bucket = state.range(1) != 0;
   const auto& full = SharedCity();

@@ -2,8 +2,9 @@
 // the ablation notes in DESIGN.md §4:
 //  * envelope discovery: paper's O(n) per-row scan vs the cursor over a
 //    y-sorted copy (SortedEnvelopeCursor, the engine's pass 1);
-//  * per-row endpoint ordering: sorting vs bucketing (the log n factor
-//    Theorem 2 removes);
+//  * per-row endpoint ordering: a comparison sort of one row's endpoints
+//    (Algorithm 1's step, which no method runs) vs the bucketing all four
+//    SLAM methods run;
 //  * aggregate maintenance cost per kernel (1 vs 4 vs 9 aggregate values);
 //  * index construction costs the baselines pay per KDV call.
 #include <benchmark/benchmark.h>
@@ -85,7 +86,8 @@ void BM_BoundIntervalComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundIntervalComputation);
 
-/// The per-row log n the bucket variant deletes: sort the endpoint events.
+/// Algorithm 1's per-row step, which no method runs any more (every SLAM
+/// method buckets, DESIGN.md §12): comparison-sort one row's endpoints.
 void BM_RowEndpointSort(benchmark::State& state) {
   const auto& ds = SharedCity();
   const double b = 600.0;
@@ -195,8 +197,9 @@ void BM_KdTreeRangeAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_KdTreeRangeAggregate);
 
-/// Whole-KDV microbenchmark on a small grid, one per SLAM variant, showing
-/// the sort -> bucket -> RAO progression end to end.
+/// Whole-KDV microbenchmark on a small tall grid (96x128), one per SLAM
+/// method name. SLAM_SORT and SLAM_BUCKET sweep the same 128 rows and the
+/// RAO variants the same 96 columns, so expect two levels, not four.
 void BM_SmallKdv(benchmark::State& state) {
   const Method method = static_cast<Method>(state.range(0));
   const auto& ds = SharedCity();

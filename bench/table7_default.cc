@@ -7,11 +7,38 @@
 // magnitude in many test cases").
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/harness.h"
 
 namespace slam::bench {
 namespace {
+
+/// One dataset's SLAM cells as measured, fastest first ("SLAM_BUCKET 12.34
+/// ms, ..."); censored and failed cells come last.
+std::string MeasuredOrder(std::vector<std::pair<Method, CellResult>> cells) {
+  const auto timed = [](const CellResult& cell) {
+    return cell.status.ok() && !cell.censored;
+  };
+  std::stable_sort(cells.begin(), cells.end(),
+                   [&](const auto& a, const auto& b) {
+                     if (timed(a.second) != timed(b.second)) {
+                       return timed(a.second);
+                     }
+                     return timed(a.second) &&
+                            a.second.seconds < b.second.seconds;
+                   });
+  std::string order;
+  for (const auto& [method, cell] : cells) {
+    if (!order.empty()) order += ", ";
+    order += std::string(MethodName(method)) + " " +
+             (timed(cell) ? StringPrintf("%.2f ms", cell.seconds * 1e3)
+                          : cell.ToString());
+  }
+  return order;
+}
 
 int Run() {
   BenchConfig config = BenchConfig::FromEnv();
@@ -32,6 +59,7 @@ int Run() {
   for (const Method m : roster) headers.emplace_back(MethodName(m));
   if (have_rao) headers.emplace_back("best-vs-SLAM_B_RAO");
   TablePrinter table(std::move(headers));
+  std::vector<std::string> slam_orders;
 
   for (const BenchDataset& ds : *datasets) {
     const auto task = DatasetTask(ds, config.width, config.height,
@@ -48,6 +76,7 @@ int Run() {
     best_competitor.censored = true;
     best_competitor.seconds = config.budget_seconds;
     CellResult slam_bucket_rao;
+    std::vector<std::pair<Method, CellResult>> slam_cells;
     // One O(XYn) oracle pass per dataset (only under SLAM_BENCH_CHECK),
     // shared across all ten method cells.
     const std::optional<DensityMap> reference =
@@ -59,6 +88,7 @@ int Run() {
                                            std::string(CityName(ds.city)), m,
                                            cell));
       row.push_back(cell.ToString());
+      if (MethodIsSlam(m)) slam_cells.emplace_back(m, cell);
       if (m == Method::kSlamBucketRao) {
         slam_bucket_rao = cell;
       } else if (!MethodIsSlam(m) && cell.status.ok() && !cell.censored &&
@@ -70,11 +100,21 @@ int Run() {
       row.push_back(FormatSpeedup(best_competitor, slam_bucket_rao));
     }
     table.AddRow(std::move(row));
+    if (!slam_cells.empty()) {
+      slam_orders.push_back(std::string(CityName(ds.city)) + ": " +
+                            MeasuredOrder(std::move(slam_cells)));
+    }
   }
   table.Print();
-  std::printf(
-      "\nPaper shape check: SLAM_BUCKET_RAO < SLAM_BUCKET < SLAM_SORT, all "
-      "SLAM variants well below QUAD/Z-order, and SCAN/aKDE slowest.\n");
+  if (!slam_orders.empty()) {
+    // The paper's shape is SLAM_BUCKET_RAO < SLAM_BUCKET < SLAM_SORT. Here
+    // SLAM_SORT and SLAM_BUCKET run the same passes (DESIGN.md §12), so
+    // the order below is what the timings say, not a claim.
+    std::printf("\nMeasured SLAM order, fastest first:\n");
+    for (const std::string& order : slam_orders) {
+      std::printf("  %s\n", order.c_str());
+    }
+  }
   return 0;
 }
 

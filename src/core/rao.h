@@ -1,26 +1,20 @@
-// Resolution-Aware Optimization (paper Section 3.6): the sweep's per-line
-// cost is paid once per line perpendicular to the sweep axis, so sweep
-// along whichever axis has MORE pixels — i.e. iterate over the min(X, Y)
-// lines. Implemented by transposing the task (swap x/y in points and grid)
-// when Y > X, running the base algorithm, and transposing the raster back.
-// Exact; lowers the complexity to O(min(X,Y) (max(X,Y) + n [log n]))
-// (Theorem 3).
+// Resolution-Aware Optimization (paper Section 3.6): a line sweep pays its
+// per-line cost once per swept line, so sweep along whichever axis has
+// MORE pixels — i.e. iterate over the min(X, Y) lines. RAO is therefore
+// only the engine's choice of sweep axis: on a tall grid (Y > X) its one
+// copy of the points is written with x and y swapped and the shared driver
+// stores each swept line down a column of the output
+// (SweptLines::kColumns, core/sweep_rows.h). Exact; lowers the complexity
+// to O(min(X,Y) (max(X,Y) + n)) per Theorem 3 with the bucket sweep.
 #pragma once
 
-#include "kdv/density_map.h"
 #include "kdv/task.h"
-#include "util/status.h"
 
 namespace slam {
 
-Status ComputeSlamSortRao(const KdvTask& task, const ComputeOptions& options,
-                          DensityMap* out);
-
-Status ComputeSlamBucketRao(const KdvTask& task,
-                            const ComputeOptions& options, DensityMap* out);
-
-/// True when RAO would transpose this task (Y > X). Exposed for tests and
-/// the ablation bench.
-bool RaoWouldTranspose(const KdvTask& task);
+/// True when RAO sweeps columns instead of rows (Y > X).
+inline bool RaoWouldTranspose(const KdvTask& task) {
+  return task.grid.height() > task.grid.width();
+}
 
 }  // namespace slam

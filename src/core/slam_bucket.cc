@@ -12,9 +12,8 @@ namespace slam {
 // regression tests pin their clamps.
 Status ComputeSlamBucket(const KdvTask& task, const ComputeOptions& options,
                          DensityMap* out) {
-  static constexpr SweepMethodLabels kLabels = {
-      "SLAM_BUCKET", "slam_bucket/workspace", "slam_bucket/row"};
-  return ComputeEndpointSweep(task, options, kLabels, out);
+  return ComputeEndpointSweep(task, options, kSlamBucketLabels,
+                              SweptLines::kRows, out);
 }
 
 }  // namespace slam

@@ -16,9 +16,8 @@ namespace slam {
 // X)) bound.
 Status ComputeSlamSort(const KdvTask& task, const ComputeOptions& options,
                        DensityMap* out) {
-  static constexpr SweepMethodLabels kLabels = {
-      "SLAM_SORT", "slam_sort/workspace", "slam_sort/row"};
-  return ComputeEndpointSweep(task, options, kLabels, out);
+  return ComputeEndpointSweep(task, options, kSlamSortLabels, SweptLines::kRows,
+                              out);
 }
 
 }  // namespace slam

@@ -53,7 +53,7 @@ void SweepArena::PrepareRow(size_t num_endpoints) {
 size_t SweepArena::HeapBytes() const {
   return (ex.capacity() + ey.capacity() + lb.capacity() + ub.capacity() +
           lower_px.capacity() + lower_py.capacity() + upper_px.capacity() +
-          upper_py.capacity() + qx.capacity()) *
+          upper_py.capacity() + qx.capacity() + line.capacity()) *
              sizeof(double) +
          (lower_idx.capacity() + upper_idx.capacity() +
           lower_offsets.capacity() + upper_offsets.capacity() +
@@ -64,7 +64,7 @@ size_t SweepArena::HeapBytes() const {
 
 void SweepArena::ShrinkToFit() {
   for (std::vector<double>* lane : {&ex, &ey, &lb, &ub, &lower_px, &lower_py,
-                                    &upper_px, &upper_py, &qx}) {
+                                    &upper_px, &upper_py, &qx, &line}) {
     lane->shrink_to_fit();
   }
   for (std::vector<int32_t>* lane :

@@ -44,6 +44,10 @@ struct SweepArena {
   // and cached across computes keyed on the axis parameters, so a stripe
   // worker rendering the same grid repeatedly never refills it.
   std::vector<double> qx;
+  // One swept line's densities when the lines are columns of the output
+  // (SweptLines::kColumns, core/sweep_rows.h): the row sweep writes here
+  // and the driver stores it down the column. Empty for row sweeps.
+  std::vector<double> line;
   RowSweepScratch scratch;
 
   /// Sizes the per-compute lanes: envelope lanes to `envelope_lanes` —

@@ -41,6 +41,13 @@ size_t WidestEnvelope(const KdvTask& task) {
   return widest;
 }
 
+/// Stores a swept line down column `ix` of `*map`, one value per row.
+void StoreColumn(std::span<const double> line, PixelX ix, DensityMap* map) {
+  for (RowIndex iy(0); iy < RowIndex(map->height()); ++iy) {
+    map->set(ix, iy, DensityValue(line[CheckedSize(iy.value())]));
+  }
+}
+
 /// Brings the compute's charge to the arena's heap. On a refusal the
 /// excess may be capacity an earlier, larger compute on this thread left
 /// in the arena, so that is dropped and the charge retried before the
@@ -58,7 +65,8 @@ Status ChargeArena(SweepArena* ws, ScopedMemoryCharge* charge) {
 }  // namespace
 
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
-                            const SweepMethodLabels& labels, DensityMap* out) {
+                            const SweepMethodLabels& labels, SweptLines lines,
+                            DensityMap* out) {
   SLAM_RETURN_NOT_OK(ValidateTask(task));
   if (!KernelSupportedBySlam(task.kernel)) {
     return Status::InvalidArgument(
@@ -75,8 +83,11 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                                    " supports at most 2^31 - 1 points");
   }
   SLAM_ASSIGN_OR_RETURN(const SimdOps* ops, GetSimdOps(options.simd));
-  SLAM_ASSIGN_OR_RETURN(DensityMap map, DensityMap::Create(task.grid.width(),
-                                                           task.grid.height()));
+  const bool columns = lines == SweptLines::kColumns;
+  SLAM_ASSIGN_OR_RETURN(
+      DensityMap map,
+      columns ? DensityMap::Create(task.grid.height(), task.grid.width())
+              : DensityMap::Create(task.grid.width(), task.grid.height()));
   const ExecContext* exec = options.exec;
   ScopedMemoryCharge charge(exec, labels.workspace);
   // Points sorted by y — the engine's swept copy (kdv/engine.cc) — hand
@@ -97,6 +108,7 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
   const size_t widest = sorted ? WidestEnvelope(task) : 0;
   ws->PrepareCompute(sorted ? widest : task.points.size(), xs);
   if (sorted) ws->PrepareRow(widest);
+  ws->line.resize(columns ? CheckedSize(xs.count) : 0);
   for (RowIndex iy(0); iy < rows; ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(exec, labels.row));
     const WorldY k = task.grid.YCoord(iy);
@@ -151,8 +163,9 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                   ws->lower_py.data()};
     args.upper = {ws->upper_offsets.data(), ws->upper_px.data(),
                   ws->upper_py.data()};
-    args.out = map.mutable_density_row(iy).raw();
+    args.out = columns ? ws->line.data() : map.mutable_density_row(iy).raw();
     ops->row_sweep(args, &ws->scratch);
+    if (columns) StoreColumn(ws->line, PixelX(iy.value()), &map);
   }
   *out = std::move(map);
   return Status::OK();

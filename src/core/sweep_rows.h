@@ -1,9 +1,11 @@
-// The shared row driver behind SLAM_SORT and SLAM_BUCKET (DESIGN.md §12).
+// The shared line driver behind the four SLAM methods (DESIGN.md §12).
 // Since the pixel-binned counting sort replaced SLAM_SORT's per-row
-// comparison sort, both methods run the identical five dispatched passes
-// (simd/sweep_ops.h) per row; only their public names — checkpoint sites,
-// budget-charge tags, error messages — differ, so they share one driver
-// parameterized on those labels.
+// comparison sort, SLAM_SORT and SLAM_BUCKET run the identical five
+// dispatched passes (simd/sweep_ops.h) per swept line, and RAO (paper
+// Section 3.6) only picks the axis the lines run along. What differs is
+// each family's public names — checkpoint sites, budget-charge tags,
+// error messages — and, for RAO, whether a swept line is a row or a column
+// of the output.
 #pragma once
 
 #include "kdv/density_map.h"
@@ -19,14 +21,29 @@ namespace slam {
 struct SweepMethodLabels {
   const char* method;     // error messages, e.g. "SLAM_SORT"
   const char* workspace;  // budget-charge tag, e.g. "slam_sort/workspace"
-  const char* row;        // per-row checkpoint site, e.g. "slam_sort/row"
+  const char* row;        // per-line checkpoint site, e.g. "slam_sort/row"
 };
 
-/// Runs the row passes over every row of `task`. Points sorted by y
-/// (ascending, by `<`), as ComputeKdv hands them to the SLAM methods, give
-/// each row its envelope as a run of the input (SortedEnvelopeCursor);
-/// any other order gets pass 1's scan of all points on every row.
+/// Each family's labels; a RAO variant runs under its base method's.
+inline constexpr SweepMethodLabels kSlamSortLabels = {
+    "SLAM_SORT", "slam_sort/workspace", "slam_sort/row"};
+inline constexpr SweepMethodLabels kSlamBucketLabels = {
+    "SLAM_BUCKET", "slam_bucket/workspace", "slam_bucket/row"};
+
+/// Which lines of the output the sweep's lines are. The task is always in
+/// the sweep frame, with lines along its x axis stacked along its y axis.
+/// kRows: swept line i is row i of an output shaped like the task's grid.
+/// kColumns (RAO on a tall grid, the task being the transposed problem):
+/// swept line i is column i of an output shaped like the transposed grid.
+enum class SweptLines { kRows, kColumns };
+
+/// Runs the five passes over every swept line of `task`. Points sorted by
+/// y (ascending, by `<`), as ComputeKdv hands them to the SLAM methods,
+/// give each line its envelope as a run of the input
+/// (SortedEnvelopeCursor); any other order gets pass 1's scan of all
+/// points on every line.
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
-                            const SweepMethodLabels& labels, DensityMap* out);
+                            const SweepMethodLabels& labels, SweptLines lines,
+                            DensityMap* out);
 
 }  // namespace slam

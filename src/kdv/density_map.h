@@ -69,7 +69,7 @@ class DensityMap {
   double MaxValue() const;
   double Sum() const;
 
-  /// Transposed copy (RAO computes into the transposed raster).
+  /// Transposed copy (the reference RAO's column sweep is tested against).
   DensityMap Transposed() const;
 
   struct Comparison {

@@ -10,8 +10,7 @@
 #include "baselines/scan.h"
 #include "baselines/zorder.h"
 #include "core/rao.h"
-#include "core/slam_bucket.h"
-#include "core/slam_sort.h"
+#include "core/sweep_rows.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -35,6 +34,8 @@ constexpr std::array<Method, 8> kExactMethods = {
 using MethodFn = Status (*)(const KdvTask&, const ComputeOptions&,
                             DensityMap*);
 
+/// The baselines' entry points; the SLAM methods run the sweep driver
+/// directly (SweepLabels).
 MethodFn Dispatch(Method method) {
   switch (method) {
     case Method::kScan:
@@ -49,44 +50,60 @@ MethodFn Dispatch(Method method) {
       return &ComputeAkde;
     case Method::kQuad:
       return &ComputeQuad;
-    case Method::kSlamSort:
-      return &ComputeSlamSort;
-    case Method::kSlamBucket:
-      return &ComputeSlamBucket;
-    case Method::kSlamSortRao:
-      return &ComputeSlamSortRao;
-    case Method::kSlamBucketRao:
-      return &ComputeSlamBucketRao;
+    default:
+      return nullptr;
   }
-  return nullptr;
+}
+
+/// The sweep family a SLAM method runs under, or null for the baselines.
+const SweepMethodLabels* SweepLabels(Method method) {
+  switch (method) {
+    case Method::kSlamSort:
+    case Method::kSlamSortRao:
+      return &kSlamSortLabels;
+    case Method::kSlamBucket:
+    case Method::kSlamBucketRao:
+      return &kSlamBucketLabels;
+    default:
+      return nullptr;
+  }
 }
 
 bool MethodIsRao(Method method) {
   return method == Method::kSlamSortRao || method == Method::kSlamBucketRao;
 }
 
-/// The SLAM methods' one copy of the input (DESIGN.md §4 item 4): the
-/// points that can reach a swept line, recentered by `shift`, stable-sorted
-/// by the coordinate s the sweep will cut envelopes on (x when RAO will
-/// transpose, else y), so every line's envelope is a run of the sorted
-/// order (core/sweep_rows.cc). A point is kept iff k_first − s <= b and
-/// k_last − s >= −b: k − s only rises with k, so that keeps every point the
-/// scan's |k − s| <= b admits at some line. Fills `*points` and `*swept`
-/// (the task over the copy and the shifted grid); `charge` pays for the
-/// copy.
-Status CopySweptPoints(const KdvTask& task, Point shift, bool transposes,
+/// The SLAM methods' one copy of the input (DESIGN.md §4 item 4), in the
+/// sweep frame: recentered by `shift`, x and y swapped when the lines are
+/// columns, and stable-sorted by y, so every line's envelope is a run of
+/// the sorted order (core/sweep_rows.cc). A point is kept iff on both
+/// axes k_first − s <= b and k_last − s >= −b, with k the pixel
+/// coordinates and s the point's. On the swept axis k − s only rises
+/// with k, so that keeps every point the scan's |k − s| <= b admits at
+/// some line. Across it, a dropped point is farther than b from every
+/// pixel and adds zero to each; kept, its endpoints would park before
+/// pixel 0 and cancel out of L − U only up to rounding (DESIGN.md §6).
+/// Fills `*points` and `*swept` (the task over the copy and the shifted
+/// grid, transposed for columns); `charge` pays for the copy.
+Status CopySweptPoints(const KdvTask& task, Point shift, SweptLines lines,
                        ScopedMemoryCharge* charge, std::vector<Point>* points,
                        KdvTask* swept) {
+  const bool columns = lines == SweptLines::kColumns;
+  const Grid shifted = task.grid.Translated(shift.x, shift.y);
   *swept = task;
-  swept->grid = task.grid.Translated(shift.x, shift.y);
-  const GridAxis& lines =
-      transposes ? swept->grid.x_axis() : swept->grid.y_axis();
-  const double first = lines.Coord(0);
-  const double last = lines.last();
-  const double b = task.bandwidth;
+  swept->grid = columns ? shifted.Transposed() : shifted;
+  const auto in_frame = [&](const Point& p) {
+    const Point s{p.x - shift.x, p.y - shift.y};
+    return columns ? Point{s.y, s.x} : s;
+  };
+  const GridAxis along = swept->grid.y_axis();
+  const GridAxis across = swept->grid.x_axis();
+  const auto near = [b = task.bandwidth](const GridAxis& axis, double s) {
+    return axis.Coord(0) - s <= b && axis.last() - s >= -b;
+  };
   const auto reaches = [&](const Point& p) {
-    const double s = transposes ? p.x - shift.x : p.y - shift.y;
-    return first - s <= b && last - s >= -b;
+    const Point s = in_frame(p);
+    return near(along, s.y) && near(across, s.x);
   };
   const auto kept = static_cast<size_t>(
       std::count_if(task.points.begin(), task.points.end(), reaches));
@@ -95,15 +112,10 @@ Status CopySweptPoints(const KdvTask& task, Point shift, bool transposes,
   SLAM_RETURN_NOT_OK(charge->Update(2 * kept * sizeof(Point)));
   points->reserve(kept);
   for (const Point& p : task.points) {
-    if (reaches(p)) points->push_back({p.x - shift.x, p.y - shift.y});
+    if (reaches(p)) points->push_back(in_frame(p));
   }
-  if (transposes) {
-    std::stable_sort(points->begin(), points->end(),
-                     [](const Point& a, const Point& c) { return a.x < c.x; });
-  } else {
-    std::stable_sort(points->begin(), points->end(),
-                     [](const Point& a, const Point& c) { return a.y < c.y; });
-  }
+  std::stable_sort(points->begin(), points->end(),
+                   [](const Point& a, const Point& c) { return a.y < c.y; });
   SLAM_RETURN_NOT_OK(charge->Update(kept * sizeof(Point)));
   swept->points = *points;
   return Status::OK();
@@ -161,24 +173,15 @@ bool MethodIsExact(Method method) {
   return method != Method::kZorder && method != Method::kAkde;
 }
 
-bool MethodIsSlam(Method method) {
-  switch (method) {
-    case Method::kSlamSort:
-    case Method::kSlamBucket:
-    case Method::kSlamSortRao:
-    case Method::kSlamBucketRao:
-      return true;
-    default:
-      return false;
-  }
-}
+bool MethodIsSlam(Method method) { return SweepLabels(method) != nullptr; }
 
 Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
                               const EngineOptions& options) {
   const ExecContext* exec = options.compute.exec;
   SLAM_RETURN_NOT_OK(ExecCheck(exec, "engine/start"));
+  const SweepMethodLabels* sweep = SweepLabels(method);
   MethodFn fn = Dispatch(method);
-  if (fn == nullptr) {
+  if (fn == nullptr && sweep == nullptr) {
     return Status::InvalidArgument(
         StringPrintf("unknown method id %d",
                      static_cast<int>(method)));  // lint:allow(narrowing-cast)
@@ -231,14 +234,18 @@ Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
           ? Point{run_task.grid.x_axis().Coord(run_task.grid.width() / 2),
                   run_task.grid.y_axis().Coord(run_task.grid.height() / 2)}
           : Point{0.0, 0.0};
-  if (MethodIsSlam(method)) {
+  if (sweep != nullptr) {
+    // RAO's choice of sweep axis: columns on a tall grid.
+    const SweptLines lines = MethodIsRao(method) && RaoWouldTranspose(run_task)
+                                 ? SweptLines::kColumns
+                                 : SweptLines::kRows;
     ScopedMemoryCharge swept_charge(exec, "engine/swept_points");
     std::vector<Point> swept_points;
     KdvTask swept;
-    SLAM_RETURN_NOT_OK(CopySweptPoints(
-        run_task, c, MethodIsRao(method) && RaoWouldTranspose(run_task),
-        &swept_charge, &swept_points, &swept));
-    SLAM_RETURN_NOT_OK(fn(swept, run_options.compute, &map));
+    SLAM_RETURN_NOT_OK(CopySweptPoints(run_task, c, lines, &swept_charge,
+                                       &swept_points, &swept));
+    SLAM_RETURN_NOT_OK(ComputeEndpointSweep(swept, run_options.compute,
+                                            *sweep, lines, &map));
   } else if (recenter) {
     ScopedMemoryCharge recenter_charge(exec, "engine/recentered_points");
     SLAM_RETURN_NOT_OK(
@@ -272,23 +279,22 @@ size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
     case Method::kSlamSortRao:
     case Method::kSlamBucket:
     case Method::kSlamBucketRao: {
-      // The engine's swept copy of the points (one Point each), RAO's
-      // transposed copy of it when Y > X (one more), then the shared
-      // counting-sort driver (core/sweep_rows.cc) on one SweepArena: SoA
-      // envelope + interval + scattered endpoint lanes (8 doubles per
-      // point) + per-endpoint bucket indices (2 int32), plus bucket
-      // offset/cursor arrays and the per-pixel lanes (<= 12 snapshot
-      // channels + qx, 13 doubles per pixel) spanning the swept axis. The
-      // copy's sort buffer (one more Point each) is freed before the arena
-      // is charged, so the arena's per-point term covers it. RAO sweeps
-      // min(X, Y) lines of max(X, Y) pixels, so its per-pixel arrays span
-      // the longer axis.
-      const bool transposes = MethodIsRao(method) && height > width;
-      const size_t x = static_cast<size_t>(transposes ? height : width);
-      const size_t copies = transposes ? 2 : 1;
-      return n * (copies * point_bytes + sizeof(double) * 8 +
-                  sizeof(int32_t) * 2) +
-             (x + 2) * sizeof(int32_t) * 4 + x * sizeof(double) * 13;
+      // The engine's swept copy of the points (one Point each), then the
+      // shared counting-sort driver (core/sweep_rows.cc) on one
+      // SweepArena: SoA envelope + interval + scattered endpoint lanes (8
+      // doubles per point) + per-endpoint bucket indices (2 int32), plus
+      // bucket offset/cursor arrays and the per-pixel lanes (<= 12
+      // snapshot channels + qx, 13 doubles per pixel) spanning a swept
+      // line. The copy's sort buffer (one more Point each) is freed before
+      // the arena is charged, so the arena's per-point term covers it. RAO
+      // sweeps min(X, Y) lines of max(X, Y) pixels, so its per-pixel
+      // arrays span the longer axis; sweeping columns adds the line lane
+      // the column is stored from (one more double per pixel).
+      const bool columns = MethodIsRao(method) && height > width;
+      const size_t x = static_cast<size_t>(columns ? height : width);
+      const size_t pixel_doubles = columns ? 14 : 13;
+      return n * (point_bytes + sizeof(double) * 8 + sizeof(int32_t) * 2) +
+             (x + 2) * sizeof(int32_t) * 4 + x * sizeof(double) * pixel_doubles;
     }
   }
   return 0;

@@ -79,8 +79,8 @@ bool TaskFarFromOrigin(const KdvTask& task);
 KdvTask MakeTask(const PointDataset& dataset, const Viewport& viewport,
                  KernelType kernel, double bandwidth);
 
-/// Materialized translated copy of a task (for floating-point conditioning
-/// and for the RAO transposition). Owns the shifted points.
+/// Materialized translated copy of a task (for floating-point
+/// conditioning). Owns the shifted points.
 class TranslatedTask {
  public:
   /// Shifts all coordinates by (-dx, -dy).

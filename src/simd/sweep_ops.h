@@ -1,5 +1,5 @@
-// The per-row sweep primitives behind SLAM_SORT / SLAM_BUCKET / RAO, as a
-// table of function pointers selected once per compute call (dispatch.h).
+// The per-line sweep primitives behind the four SLAM methods, as a table
+// of function pointers selected once per compute call (dispatch.h).
 //
 // A row sweep decomposes into five data-parallel passes:
 //   1. envelope_filter — E(k) membership test over all points, emitting the
@@ -24,8 +24,9 @@
 // 3 + 4): SLAM_SORT's per-row comparison sort is gone — per-pixel runs
 // need no internal order (DESIGN.md §12), so an O(m + X) counting sort
 // keyed on the pixel bin produces the identical run *sets* the old
-// sort-then-merge produced in O(m log m). That is what lets all three
-// methods (RAO delegates to the other two) share one dispatched kernel.
+// sort-then-merge produced in O(m log m). That is what lets all four SLAM
+// methods share one dispatched kernel: RAO only decides whether the swept
+// lines are rows or columns of the output (core/sweep_rows.h).
 //
 // The scalar backend is the reference: it mirrors the pre-SoA sweep
 // arithmetic operation for operation. Vector backends replay the identical

@@ -12,7 +12,7 @@
 //    failures at deterministic checkpoints.
 //
 // Methods poll Check() between pixel rows and at phase boundaries (index
-// build, transposition), so a tripped token or expired deadline surfaces
+// build, engine entry), so a tripped token or expired deadline surfaces
 // as Status::Cancelled within one row of work. All members are thread-safe
 // so one context can govern every stripe of a parallel computation.
 #pragma once

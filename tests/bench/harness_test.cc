@@ -1,6 +1,7 @@
 #include "common/harness.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cmath>
 #include <cstdio>
@@ -135,15 +136,18 @@ TEST(PeakRssTest, WatermarkResetTracksAllocationsAndDropsAgain) {
   }
   const size_t baseline = PeakRssBytes();
   ASSERT_GT(baseline, 0u);
-  // Allocate and touch well above page-accounting noise; the watermark
-  // must climb by at least half of it.
+  // Map and touch a block well above page-accounting noise; the watermark
+  // must climb by at least half of it. The block comes straight from mmap
+  // so unmapping returns its pages to the kernel at once: a freed heap
+  // block can stay resident (an allocator cache, ASan's quarantine).
   constexpr size_t kBlockBytes = 16u << 20;
-  size_t with_block = 0;
-  {
-    std::vector<unsigned char> block(kBlockBytes);
-    for (size_t i = 0; i < block.size(); i += 4096) block[i] = 1;
-    with_block = PeakRssBytes();
-  }
+  void* mapped = mmap(nullptr, kBlockBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mapped, MAP_FAILED);
+  auto* block = static_cast<unsigned char*>(mapped);
+  for (size_t i = 0; i < kBlockBytes; i += 4096) block[i] = 1;
+  const size_t with_block = PeakRssBytes();
+  ASSERT_EQ(munmap(mapped, kBlockBytes), 0);
   EXPECT_GE(with_block, baseline + kBlockBytes / 2);
   // After the block is freed a fresh reset must re-anchor the watermark
   // below the old peak — this is exactly what lets RunCell attribute a

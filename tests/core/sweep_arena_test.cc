@@ -109,13 +109,15 @@ TEST(SweepArenaTest, ShrinkToFitKeepsOnlyTheSizedLanes) {
   const GridAxis xs{0.0, 1.0, 64};
   arena.PrepareCompute(1000, xs);
   arena.PrepareRow(500);
+  arena.line.resize(256);  // a column sweep's line lane
   arena.scratch.lanes.resize(64 * 12);
   // A smaller compute on the same arena keeps the big one's capacity...
   arena.PrepareCompute(10, xs);
   arena.PrepareRow(5);
+  arena.line.resize(64);
   for (size_t i = 0; i < 10; ++i) arena.ex[i] = static_cast<double>(i);
   const size_t sized =
-      (10 + 10 + 6 * 5 + 64) * sizeof(double) +
+      (10 + 10 + 6 * 5 + 64 + 64) * sizeof(double) +
       (2 * 5 + 2 * (64 + 2) + 2 * (64 + 1)) * sizeof(int32_t);
   EXPECT_GT(arena.HeapBytes(), sized);
   // ...until ShrinkToFit drops everything past the sized lanes, scratch

@@ -48,9 +48,10 @@ TEST(SpaceModelTest, CoversWhatASlamComputeCharges) {
   // The pre-flight estimate has to bound what the compute then charges,
   // or a budget the pre-flight accepts is refused mid-sweep instead of
   // before any work. Every SLAM method, on a wide grid and a tall one (RAO
-  // transposes, adding its copy of the swept points), near the origin and
-  // at 1e7 (the engine recenters), with a bandwidth that keeps a sliver of
-  // the points per line and one that keeps all of them on every line.
+  // sweeps columns, adding the line lane a column is stored from), near the
+  // origin and at 1e7 (the engine recenters), with a bandwidth that keeps a
+  // sliver of the points per line and one that keeps all of them on every
+  // line.
   const double extent = 100.0;
   const std::vector<Point> near = RandomPoints(2000, extent, /*seed=*/0x5A);
   std::vector<Point> far = near;
@@ -97,6 +98,39 @@ TEST(SpaceModelTest, CoversWhatASlamComputeCharges) {
         }
       }
     }
+  }
+}
+
+TEST(SpaceModelTest, RaoColumnSweepPeaksAtTheRowSweepPlusOneLine) {
+  // RAO on a tall grid sweeps the columns of the engine's one copy into the
+  // one output raster, so its peak charge is the base method's on the
+  // transposed task plus the lane each column is stored from: no second
+  // copy of the points.
+  const double extent = 100.0;
+  const std::vector<Point> points = RandomPoints(2000, extent, /*seed=*/0x6B);
+  const auto peak_bytes = [](const KdvTask& task, Method method) {
+    ThreadSweepArenaForTest().Release();
+    MemoryBudget budget(size_t{1} << 30);
+    ExecContext exec;
+    exec.set_memory_budget(&budget);
+    EngineOptions options;
+    options.compute.exec = &exec;
+    const auto map = ComputeKdv(task, method, options);
+    EXPECT_TRUE(map.ok()) << map.status().ToString();
+    return budget.peak_bytes();
+  };
+  for (const double bandwidth : {4.0, 250.0}) {
+    KdvTask task;
+    task.points = points;
+    task.kernel = KernelType::kQuartic;
+    task.bandwidth = bandwidth;
+    task.weight = 1.0 / 2000.0;
+    task.grid = MakeGrid(32, 96, extent);
+    const TransposedTask transposed(task);
+    EXPECT_LE(peak_bytes(task, Method::kSlamBucketRao),
+              peak_bytes(transposed.task(), Method::kSlamBucket) +
+                  sizeof(double) * static_cast<size_t>(task.grid.height()))
+        << "b=" << bandwidth;
   }
 }
 

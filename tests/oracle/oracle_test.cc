@@ -311,6 +311,96 @@ TEST(OraclePropertyTest, SweepMethodsStableWithoutEngineRecentering) {
   }
 }
 
+/// Points far outside the view across the swept axis, yet inside a swept
+/// line's band, add zero to every pixel. Left in the sweep, both of a far
+/// point's interval endpoints park before pixel 0, so L and U each carry
+/// its coordinate to the fourth power (1e32 at 1e8). Once two of them
+/// share a line, their sum rounds, the rounding error lands in the
+/// compensation lanes, and the quartic channels cancel to noise at that
+/// scale. The engine's copy drops such points (DESIGN.md §6). Wide grids
+/// sweep rows, so the far points sit at a far x in one row band; tall
+/// grids are swept along columns by the RAO methods, so the mirrored case
+/// puts them at a far y in one column band.
+TEST(OraclePropertyTest, FarPointsAcrossTheSweptAxisAddNothing) {
+  for (const bool tall : {false, true}) {
+    const int width = tall ? 80 : 100;
+    const int height = tall ? 100 : 80;
+    std::vector<Point> points;
+    Rng rng(0xFA7);
+    for (int i = 0; i < 2000; ++i) {
+      points.push_back({rng.Uniform(0.0, width), rng.Uniform(0.0, height)});
+    }
+    const size_t in_view = points.size();
+    for (const double far : {-1e8, -1e9}) {
+      points.resize(in_view);
+      for (int i = 0; i < 3; ++i) {
+        const double band = rng.Uniform(37.0, 43.0);
+        const double off = far * rng.Uniform(1.0, 2.0);
+        points.push_back(tall ? Point{band, off} : Point{off, band});
+      }
+      for (const KernelType kernel :
+           {KernelType::kUniform, KernelType::kEpanechnikov,
+            KernelType::kQuartic}) {
+        KdvTask task;
+        task.points = points;
+        task.kernel = kernel;
+        task.bandwidth = 10.0;
+        task.weight = 1.0 / 2000.0;
+        task.grid = Grid::Create(GridAxis{0.5, 1.0, width},
+                                 GridAxis{0.5, 1.0, height})
+                        .ValueOrDie();
+        const auto reference = ReferenceScan(task);
+        ASSERT_TRUE(reference.ok());
+        for (const Method method :
+             {Method::kSlamSort, Method::kSlamBucket, Method::kSlamSortRao,
+              Method::kSlamBucketRao}) {
+          const auto report = DiffAgainstReference(
+              task, method, ExactEngineOptions(), *reference);
+          ASSERT_TRUE(report.ok()) << MethodName(method);
+          EXPECT_LE(report->max_rel_error, kMaxRelError)
+              << MethodName(method) << " " << width << "x" << height
+              << " far " << far << " " << KernelTypeName(kernel);
+        }
+      }
+    }
+  }
+}
+
+/// A valid task whose far point recenters past the 1e12 coordinate cap:
+/// the engine's copy keeps only points within b of the grid, so the
+/// recentered sweep never sees the shifted far point (x = -1.98e12) and
+/// has nothing to reject.
+TEST(OraclePropertyTest, SlamAcceptsPointsThatRecenterPastTheCap) {
+  const double o = 9.9e11;
+  const std::vector<Point> points{{o + 50.0, o + 40.0}, {-o, o + 40.0}};
+  for (const KernelType kernel :
+       {KernelType::kUniform, KernelType::kEpanechnikov,
+        KernelType::kQuartic}) {
+    KdvTask task;
+    task.points = points;
+    task.kernel = kernel;
+    task.bandwidth = 10.0;
+    task.weight = 0.5;
+    task.grid =
+        Grid::Create(GridAxis{o, 1.0, 100}, GridAxis{o, 1.0, 80}).ValueOrDie();
+    ASSERT_TRUE(ValidateTask(task).ok());
+    ASSERT_TRUE(TaskFarFromOrigin(task));
+    const auto reference = ReferenceScan(task);
+    ASSERT_TRUE(reference.ok());
+    ASSERT_GT(reference->MaxValue(), 0.0);
+    for (const Method method :
+         {Method::kSlamSort, Method::kSlamBucket, Method::kSlamSortRao,
+          Method::kSlamBucketRao}) {
+      const auto report =
+          DiffAgainstReference(task, method, ExactEngineOptions(), *reference);
+      ASSERT_TRUE(report.ok())
+          << MethodName(method) << ": " << report.status().ToString();
+      EXPECT_LE(report->max_rel_error, kMaxRelError)
+          << MethodName(method) << " " << KernelTypeName(kernel);
+    }
+  }
+}
+
 /// The compensated-aggregates knob is live: both settings produce valid
 /// results on a well-conditioned task, and the knob defaults to on.
 TEST(OraclePropertyTest, CompensationKnobBothSettingsCorrect) {

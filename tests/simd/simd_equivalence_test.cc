@@ -116,7 +116,8 @@ INSTANTIATE_TEST_SUITE_P(
         SimdCase{KernelType::kQuartic, 1e7, 33, Method::kSlamBucket},
         SimdCase{KernelType::kQuartic, -1e7, 31, Method::kSlamSort},
         SimdCase{KernelType::kUniform, 1e7, 31, Method::kSlamBucket},
-        // RAO wrappers: the transposed sweep runs 21-pixel rows.
+        // RAO variants: these grids are wide, so RAO sweeps the 21 rows
+        // (RaoTest covers the column sweep on every backend).
         SimdCase{KernelType::kEpanechnikov, 0.0, 33, Method::kSlamSortRao},
         SimdCase{KernelType::kQuartic, -1e7, 31, Method::kSlamBucketRao}),
     CaseName);
