@@ -5,8 +5,7 @@
 namespace slam {
 
 Status ComputeAkde(const KdvTask& task, const ComputeOptions& options,
-                   DensityMap* out) {
-  SLAM_RETURN_NOT_OK(ValidateTask(task));
+                   RowRange rows, DensityMap* out) {
   if (options.akde_epsilon < 0.0) {
     return Status::InvalidArgument("akde_epsilon must be non-negative");
   }
@@ -15,11 +14,9 @@ Status ComputeAkde(const KdvTask& task, const ComputeOptions& options,
   SLAM_ASSIGN_OR_RETURN(KdTree index, KdTree::Build(task.points, kd_options));
   ScopedMemoryCharge charge(options.exec, "akde/index");
   SLAM_RETURN_NOT_OK(charge.Update(index.MemoryUsageBytes()));
-  SLAM_ASSIGN_OR_RETURN(DensityMap map, DensityMap::Create(task.grid.width(),
-                                                           task.grid.height()));
-  for (int iy = 0; iy < task.grid.height(); ++iy) {
+  for (int iy = rows.begin; iy < rows.end; ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(options.exec, "akde/row"));
-    std::span<double> row = map.mutable_row(iy);
+    std::span<double> row = out->mutable_row(iy);
     for (int ix = 0; ix < task.grid.width(); ++ix) {
       const Point q = task.grid.PixelCenter(ix, iy);
       row[ix] = task.weight *
@@ -27,7 +24,6 @@ Status ComputeAkde(const KdvTask& task, const ComputeOptions& options,
                                               options.akde_epsilon);
     }
   }
-  *out = std::move(map);
   return Status::OK();
 }
 

@@ -11,6 +11,6 @@
 namespace slam {
 
 Status ComputeAkde(const KdvTask& task, const ComputeOptions& options,
-                   DensityMap* out);
+                   RowRange rows, DensityMap* out);
 
 }  // namespace slam

@@ -5,8 +5,7 @@
 namespace slam {
 
 Status ComputeQuad(const KdvTask& task, const ComputeOptions& options,
-                   DensityMap* out) {
-  SLAM_RETURN_NOT_OK(ValidateTask(task));
+                   RowRange rows, DensityMap* out) {
   if (options.quad_epsilon < 0.0) {
     return Status::InvalidArgument("quad_epsilon must be non-negative");
   }
@@ -16,16 +15,14 @@ Status ComputeQuad(const KdvTask& task, const ComputeOptions& options,
                         QuadTree::Build(task.points, quad_options));
   ScopedMemoryCharge charge(options.exec, "quad/index");
   SLAM_RETURN_NOT_OK(charge.Update(index.MemoryUsageBytes()));
-  SLAM_ASSIGN_OR_RETURN(DensityMap map, DensityMap::Create(task.grid.width(),
-                                                           task.grid.height()));
   // Exact mode decomposes the density over R(q) aggregates (possible for
   // the polynomial kernels); the epsilon mode and the Gaussian kernel go
   // through the bound-midpoint traversal.
   const bool exact_via_aggregates =
       options.quad_epsilon == 0.0 && KernelSupportedBySlam(task.kernel);
-  for (int iy = 0; iy < task.grid.height(); ++iy) {
+  for (int iy = rows.begin; iy < rows.end; ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(options.exec, "quad/row"));
-    std::span<double> row = map.mutable_row(iy);
+    std::span<double> row = out->mutable_row(iy);
     for (int ix = 0; ix < task.grid.width(); ++ix) {
       const Point q = task.grid.PixelCenter(ix, iy);
       if (exact_via_aggregates) {
@@ -44,7 +41,6 @@ Status ComputeQuad(const KdvTask& task, const ComputeOptions& options,
       }
     }
   }
-  *out = std::move(map);
   return Status::OK();
 }
 

@@ -14,6 +14,6 @@
 namespace slam {
 
 Status ComputeQuad(const KdvTask& task, const ComputeOptions& options,
-                   DensityMap* out);
+                   RowRange rows, DensityMap* out);
 
 }  // namespace slam

@@ -11,9 +11,9 @@
 namespace slam {
 
 Status ComputeRqsKd(const KdvTask& task, const ComputeOptions& options,
-                    DensityMap* out);
+                    RowRange rows, DensityMap* out);
 
 Status ComputeRqsBall(const KdvTask& task, const ComputeOptions& options,
-                      DensityMap* out);
+                      RowRange rows, DensityMap* out);
 
 }  // namespace slam

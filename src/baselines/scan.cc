@@ -3,16 +3,13 @@
 namespace slam {
 
 Status ComputeScan(const KdvTask& task, const ComputeOptions& options,
-                   DensityMap* out) {
-  SLAM_RETURN_NOT_OK(ValidateTask(task));
-  SLAM_ASSIGN_OR_RETURN(DensityMap map, DensityMap::Create(task.grid.width(),
-                                                           task.grid.height()));
+                   RowRange rows, DensityMap* out) {
   const KernelType kernel = task.kernel;
   const double b = task.bandwidth;
   const double w = task.weight;
-  for (int iy = 0; iy < task.grid.height(); ++iy) {
+  for (int iy = rows.begin; iy < rows.end; ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(options.exec, "scan/row"));
-    std::span<double> row = map.mutable_row(iy);
+    std::span<double> row = out->mutable_row(iy);
     for (int ix = 0; ix < task.grid.width(); ++ix) {
       const Point q = task.grid.PixelCenter(ix, iy);
       double sum = 0.0;
@@ -22,7 +19,6 @@ Status ComputeScan(const KdvTask& task, const ComputeOptions& options,
       row[ix] = w * sum;
     }
   }
-  *out = std::move(map);
   return Status::OK();
 }
 

@@ -10,6 +10,6 @@
 namespace slam {
 
 Status ComputeScan(const KdvTask& task, const ComputeOptions& options,
-                   DensityMap* out);
+                   RowRange rows, DensityMap* out);
 
 }  // namespace slam

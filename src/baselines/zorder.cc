@@ -8,8 +8,7 @@
 namespace slam {
 
 Status ComputeZorder(const KdvTask& task, const ComputeOptions& options,
-                     DensityMap* out) {
-  SLAM_RETURN_NOT_OK(ValidateTask(task));
+                     RowRange rows, DensityMap* out) {
   if (!(options.zorder_epsilon > 0.0) || options.zorder_epsilon > 1.0) {
     return Status::InvalidArgument("zorder_epsilon must be in (0, 1]");
   }
@@ -37,7 +36,7 @@ Status ComputeZorder(const KdvTask& task, const ComputeOptions& options,
   }
   // "These methods still need to evaluate the exact KDV for the reduced
   // dataset" (paper Section 5) — done here with the kd-tree RQS.
-  return ComputeRqsKd(reduced, options, out);
+  return ComputeRqsKd(reduced, options, rows, out);
 }
 
 }  // namespace slam

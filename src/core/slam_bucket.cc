@@ -12,8 +12,7 @@ namespace slam {
 // regression tests pin their clamps.
 Status ComputeSlamBucket(const KdvTask& task, const ComputeOptions& options,
                          DensityMap* out) {
-  return ComputeEndpointSweep(task, options, kSlamBucketLabels,
-                              SweptLines::kRows, out);
+  return ComputeDirectSweep(task, options, kSlamBucketLabels, out);
 }
 
 }  // namespace slam

@@ -16,8 +16,7 @@ namespace slam {
 // X)) bound.
 Status ComputeSlamSort(const KdvTask& task, const ComputeOptions& options,
                        DensityMap* out) {
-  return ComputeEndpointSweep(task, options, kSlamSortLabels, SweptLines::kRows,
-                              out);
+  return ComputeDirectSweep(task, options, kSlamSortLabels, out);
 }
 
 }  // namespace slam

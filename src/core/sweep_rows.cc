@@ -28,13 +28,13 @@ void SoaFromSpan(std::span<const Point> envelope, TypedLane<WorldX> ex,
   }
 }
 
-/// The largest envelope any row of the sweep sees, from one dry walk of
-/// the cursor (O(n + Y) comparisons): sizing every lane to it up front
-/// means no row resizes, and a fresh arena holds exactly that much.
-size_t WidestEnvelope(const KdvTask& task) {
+/// The largest envelope any line of `rows` sees, from one dry walk of the
+/// cursor (O(n + lines) comparisons): sizing every lane to it up front
+/// means no line resizes, and a fresh arena holds exactly that much.
+size_t WidestEnvelope(const KdvTask& task, RowRange rows) {
   SortedEnvelopeCursor cursor(task.points);
   size_t widest = 0;
-  for (RowIndex iy(0); iy < RowIndex(task.grid.height()); ++iy) {
+  for (RowIndex iy(rows.begin); iy < RowIndex(rows.end); ++iy) {
     widest = std::max(
         widest, cursor.Advance(task.grid.YCoord(iy), task.bandwidth).size());
   }
@@ -66,14 +66,7 @@ Status ChargeArena(SweepArena* ws, ScopedMemoryCharge* charge) {
 
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                             const SweepMethodLabels& labels, SweptLines lines,
-                            DensityMap* out) {
-  SLAM_RETURN_NOT_OK(ValidateTask(task));
-  if (!KernelSupportedBySlam(task.kernel)) {
-    return Status::InvalidArgument(
-        "SLAM has no aggregate decomposition for the " +
-        std::string(KernelTypeName(task.kernel)) +
-        " kernel (paper Section 3.7)");
-  }
+                            RowRange rows, DensityMap* out) {
   if (task.points.size() >
       static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
     // The per-pixel run offsets and scatter cursors count endpoints in
@@ -84,10 +77,6 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
   }
   SLAM_ASSIGN_OR_RETURN(const SimdOps* ops, GetSimdOps(options.simd));
   const bool columns = lines == SweptLines::kColumns;
-  SLAM_ASSIGN_OR_RETURN(
-      DensityMap map,
-      columns ? DensityMap::Create(task.grid.height(), task.grid.width())
-              : DensityMap::Create(task.grid.width(), task.grid.height()));
   const ExecContext* exec = options.exec;
   ScopedMemoryCharge charge(exec, labels.workspace);
   // Points sorted by y — the engine's swept copy (kdv/engine.cc) — hand
@@ -100,16 +89,15 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
   SortedEnvelopeCursor cursor(task.points);
 
   const GridAxis& xs = task.grid.x_axis();
-  const RowIndex rows(task.grid.height());
   ScopedArena ws;
   // The scan writes survivors through a raw cursor into envelope lanes
   // sized to all n points (SimdOps::envelope_filter); slices are copied
   // into lanes sized once to the widest envelope.
-  const size_t widest = sorted ? WidestEnvelope(task) : 0;
+  const size_t widest = sorted ? WidestEnvelope(task, rows) : 0;
   ws->PrepareCompute(sorted ? widest : task.points.size(), xs);
   if (sorted) ws->PrepareRow(widest);
   ws->line.resize(columns ? CheckedSize(xs.count) : 0);
-  for (RowIndex iy(0); iy < rows; ++iy) {
+  for (RowIndex iy(rows.begin); iy < RowIndex(rows.end); ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(exec, labels.row));
     const WorldY k = task.grid.YCoord(iy);
     const Point origin = RowLocalOrigin(xs, k);
@@ -163,10 +151,22 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                   ws->lower_py.data()};
     args.upper = {ws->upper_offsets.data(), ws->upper_px.data(),
                   ws->upper_py.data()};
-    args.out = columns ? ws->line.data() : map.mutable_density_row(iy).raw();
+    args.out = columns ? ws->line.data() : out->mutable_density_row(iy).raw();
     ops->row_sweep(args, &ws->scratch);
-    if (columns) StoreColumn(ws->line, PixelX(iy.value()), &map);
+    if (columns) StoreColumn(ws->line, PixelX(iy.value()), out);
   }
+  return Status::OK();
+}
+
+Status ComputeDirectSweep(const KdvTask& task, const ComputeOptions& options,
+                          const SweepMethodLabels& labels, DensityMap* out) {
+  SLAM_RETURN_NOT_OK(ValidateTask(task));
+  SLAM_RETURN_NOT_OK(CheckKernelSupportedBySlam(task.kernel));
+  SLAM_ASSIGN_OR_RETURN(DensityMap map, DensityMap::Create(task.grid.width(),
+                                                           task.grid.height()));
+  SLAM_RETURN_NOT_OK(ComputeEndpointSweep(task, options, labels,
+                                          SweptLines::kRows,
+                                          {0, task.grid.height()}, &map));
   *out = std::move(map);
   return Status::OK();
 }

@@ -37,13 +37,20 @@ inline constexpr SweepMethodLabels kSlamBucketLabels = {
 /// swept line i is column i of an output shaped like the transposed grid.
 enum class SweptLines { kRows, kColumns };
 
-/// Runs the five passes over every swept line of `task`. Points sorted by
-/// y (ascending, by `<`), as ComputeKdv hands them to the SLAM methods,
-/// give each line its envelope as a run of the input
-/// (SortedEnvelopeCursor); any other order gets pass 1's scan of all
-/// points on every line.
+/// Runs the five passes over swept lines [rows.begin, rows.end) of `task`
+/// and writes them into `*out`, which the caller created in the output's
+/// shape (RowRange, kdv/task.h). Points sorted by y (ascending, by `<`),
+/// as ComputeKdv hands them to the SLAM methods, give each line its
+/// envelope as a run of the input (SortedEnvelopeCursor); any other order
+/// gets pass 1's scan of all points on every line.
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                             const SweepMethodLabels& labels, SweptLines lines,
-                            DensityMap* out);
+                            RowRange rows, DensityMap* out);
+
+/// A direct ComputeSlamSort / ComputeSlamBucket call, outside the engine:
+/// validates the task and the SLAM kernel rule, creates `*out` and sweeps
+/// every row of the points as given.
+Status ComputeDirectSweep(const KdvTask& task, const ComputeOptions& options,
+                          const SweepMethodLabels& labels, DensityMap* out);
 
 }  // namespace slam

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <vector>
 
 #include "baselines/akde.h"
@@ -11,8 +12,13 @@
 #include "baselines/zorder.h"
 #include "core/rao.h"
 #include "core/sweep_rows.h"
+#include "kdv/parallel.h"
 #include "util/logging.h"
+#include "util/mutex.h"
+#include "util/narrow.h"
 #include "util/string_util.h"
+#include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace slam {
 
@@ -31,7 +37,7 @@ constexpr std::array<Method, 8> kExactMethods = {
     Method::kSlamSortRao, Method::kSlamBucketRao,
 };
 
-using MethodFn = Status (*)(const KdvTask&, const ComputeOptions&,
+using MethodFn = Status (*)(const KdvTask&, const ComputeOptions&, RowRange,
                             DensityMap*);
 
 /// The baselines' entry points; the SLAM methods run the sweep driver
@@ -73,21 +79,24 @@ bool MethodIsRao(Method method) {
   return method == Method::kSlamSortRao || method == Method::kSlamBucketRao;
 }
 
-/// The SLAM methods' one copy of the input (DESIGN.md §4 item 4), in the
+/// A SLAM stripe's copy of the input (DESIGN.md §4 item 4), in the
 /// sweep frame: recentered by `shift`, x and y swapped when the lines are
 /// columns, and stable-sorted by y, so every line's envelope is a run of
-/// the sorted order (core/sweep_rows.cc). A point is kept iff on both
-/// axes k_first − s <= b and k_last − s >= −b, with k the pixel
-/// coordinates and s the point's. On the swept axis k − s only rises
-/// with k, so that keeps every point the scan's |k − s| <= b admits at
-/// some line. Across it, a dropped point is farther than b from every
-/// pixel and adds zero to each; kept, its endpoints would park before
-/// pixel 0 and cancel out of L − U only up to rounding (DESIGN.md §6).
-/// Fills `*points` and `*swept` (the task over the copy and the shifted
-/// grid, transposed for columns); `charge` pays for the copy.
+/// the sorted order (core/sweep_rows.cc). A point is kept iff
+/// k_first − s <= b and k_last − s >= −b, with k the pixel coordinates
+/// and s the point's, taken across the whole grid and along the swept
+/// axis from the stripe's first line to its last. Along it, k − s only
+/// rises with k, so that keeps every point the scan's |k − s| <= b admits
+/// at some line of the stripe, and each line's run holds the same points
+/// in the same order as in a copy for any wider stripe. Across it, a
+/// dropped point is farther than b from every pixel and adds zero to
+/// each; kept, its endpoints would park before pixel 0 and cancel out of
+/// L − U only up to rounding (DESIGN.md §6). Fills `*points` and `*swept`
+/// (the task over the copy and the shifted grid, transposed for
+/// columns); `charge` pays for the copy.
 Status CopySweptPoints(const KdvTask& task, Point shift, SweptLines lines,
-                       ScopedMemoryCharge* charge, std::vector<Point>* points,
-                       KdvTask* swept) {
+                       RowRange rows, ScopedMemoryCharge* charge,
+                       std::vector<Point>* points, KdvTask* swept) {
   const bool columns = lines == SweptLines::kColumns;
   const Grid shifted = task.grid.Translated(shift.x, shift.y);
   *swept = task;
@@ -98,12 +107,14 @@ Status CopySweptPoints(const KdvTask& task, Point shift, SweptLines lines,
   };
   const GridAxis along = swept->grid.y_axis();
   const GridAxis across = swept->grid.x_axis();
-  const auto near = [b = task.bandwidth](const GridAxis& axis, double s) {
-    return axis.Coord(0) - s <= b && axis.last() - s >= -b;
+  const auto near = [b = task.bandwidth](double first, double last,
+                                         double s) {
+    return first - s <= b && last - s >= -b;
   };
   const auto reaches = [&](const Point& p) {
     const Point s = in_frame(p);
-    return near(along, s.y) && near(across, s.x);
+    return near(along.Coord(rows.begin), along.Coord(rows.end - 1), s.y) &&
+           near(across.Coord(0), across.last(), s.x);
   };
   const auto kept = static_cast<size_t>(
       std::count_if(task.points.begin(), task.points.end(), reaches));
@@ -175,8 +186,47 @@ bool MethodIsExact(Method method) {
 
 bool MethodIsSlam(Method method) { return SweepLabels(method) != nullptr; }
 
-Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
-                              const EngineOptions& options) {
+namespace {
+
+/// First-failure-wins aggregation across stripe threads. Record() keeps
+/// only the first status and trips the stripe cancellation token so
+/// sibling stripes stop at their next row poll; later statuses (usually
+/// the secondary Cancelled the siblings then report) are dropped.
+class FirstErrorCollector {
+ public:
+  explicit FirstErrorCollector(CancellationToken* stripe_cancel)
+      : stripe_cancel_(stripe_cancel) {}
+
+  void Record(const Status& status) {
+    MutexLock lock(&mutex_);
+    if (first_error_.ok()) {
+      first_error_ = status;
+      stripe_cancel_->Cancel();  // stop sibling stripes
+    }
+  }
+
+  /// Safe to call only after every stripe thread has joined.
+  Status TakeStatus() {
+    MutexLock lock(&mutex_);
+    return first_error_;
+  }
+
+ private:
+  CancellationToken* const stripe_cancel_;
+  Mutex mutex_;
+  Status first_error_ SLAM_GUARDED_BY(mutex_);
+};
+
+/// The one body behind ComputeKdv and ComputeKdvParallel. The prologue
+/// (sanitize, SIMD resolve, validation, the SLAM kernel rule, the budget
+/// pre-flight, the recenter shift, RAO's sweep axis and the raster) runs
+/// once per call. Then the swept lines [0, L) run as one stripe on the
+/// calling thread, or, given `num_threads`, as ParallelFor's chunks across
+/// a pool; every line is computed from the same inputs either way, so the
+/// raster is the same bit for bit.
+Result<DensityMap> RunEngine(const KdvTask& task, Method method,
+                             const EngineOptions& options,
+                             std::optional<int> num_threads) {
   const ExecContext* exec = options.compute.exec;
   SLAM_RETURN_NOT_OK(ExecCheck(exec, "engine/start"));
   const SweepMethodLabels* sweep = SweepLabels(method);
@@ -191,11 +241,10 @@ Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
   // fails fast.
   KdvTask run_task = task;
   // Resolve the SIMD backend once per engine call: kAuto becomes a concrete
-  // level here, so every row of every method in this computation runs the
+  // level here, so every line of every method in this computation runs the
   // same backend, and a pinned-but-unavailable level fails fast.
-  EngineOptions run_options = options;
-  SLAM_ASSIGN_OR_RETURN(run_options.compute.simd,
-                        ResolveSimdLevel(options.compute.simd));
+  ComputeOptions compute = options.compute;
+  SLAM_ASSIGN_OR_RETURN(compute.simd, ResolveSimdLevel(options.compute.simd));
   std::vector<Point> finite_points;
   if (options.sanitize) {
     const size_t dropped = CopyFinitePoints(task.points, &finite_points);
@@ -207,12 +256,8 @@ Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
     }
   }
   SLAM_RETURN_NOT_OK(ValidateTask(run_task));
-  if (MethodIsSlam(method) && !KernelSupportedBySlam(run_task.kernel)) {
-    return Status::InvalidArgument(
-        "SLAM cannot support the " +
-        std::string(KernelTypeName(run_task.kernel)) +
-        " kernel: its density has no finite aggregate decomposition "
-        "(paper Section 3.7)");
+  if (sweep != nullptr) {
+    SLAM_RETURN_NOT_OK(CheckKernelSupportedBySlam(run_task.kernel));
   }
   // Pre-flight memory check: refuse before doing any work if the method's
   // analytic peak auxiliary space cannot fit in the remaining budget.
@@ -223,7 +268,6 @@ Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
                                     run_task.grid.height()),
         MethodName(method)));
   }
-  DensityMap map;
   // Recentering only pays off when the coordinates are ill-conditioned for
   // the subtractive aggregate forms; well-conditioned tasks are computed
   // unshifted.
@@ -234,28 +278,86 @@ Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
           ? Point{run_task.grid.x_axis().Coord(run_task.grid.width() / 2),
                   run_task.grid.y_axis().Coord(run_task.grid.height() / 2)}
           : Point{0.0, 0.0};
-  if (sweep != nullptr) {
-    // RAO's choice of sweep axis: columns on a tall grid.
-    const SweptLines lines = MethodIsRao(method) && RaoWouldTranspose(run_task)
-                                 ? SweptLines::kColumns
-                                 : SweptLines::kRows;
-    ScopedMemoryCharge swept_charge(exec, "engine/swept_points");
-    std::vector<Point> swept_points;
-    KdvTask swept;
-    SLAM_RETURN_NOT_OK(CopySweptPoints(run_task, c, lines, &swept_charge,
-                                       &swept_points, &swept));
-    SLAM_RETURN_NOT_OK(ComputeEndpointSweep(swept, run_options.compute,
-                                            *sweep, lines, &map));
-  } else if (recenter) {
-    ScopedMemoryCharge recenter_charge(exec, "engine/recentered_points");
+  // RAO's choice of sweep axis: columns on a tall grid.
+  const SweptLines lines = MethodIsRao(method) && RaoWouldTranspose(run_task)
+                               ? SweptLines::kColumns
+                               : SweptLines::kRows;
+  SLAM_ASSIGN_OR_RETURN(
+      DensityMap map,
+      DensityMap::Create(run_task.grid.width(), run_task.grid.height()));
+  // The baselines share one task, recentered once when the shift applies;
+  // each SLAM stripe copies the points it can reach (CopySweptPoints).
+  ScopedMemoryCharge recenter_charge(exec, "engine/recentered_points");
+  std::optional<TranslatedTask> translated;
+  if (sweep == nullptr && recenter) {
     SLAM_RETURN_NOT_OK(
         recenter_charge.Update(run_task.points.size() * sizeof(Point)));
-    const TranslatedTask translated(run_task, c.x, c.y);
-    SLAM_RETURN_NOT_OK(fn(translated.task(), run_options.compute, &map));
-  } else {
-    SLAM_RETURN_NOT_OK(fn(run_task, run_options.compute, &map));
+    translated.emplace(run_task, c.x, c.y);
   }
+  const KdvTask& method_task = translated ? translated->task() : run_task;
+  // One stripe of lines, on whichever thread runs it.
+  const auto run_stripe = [&](RowRange rows,
+                              const ComputeOptions& stripe_compute) {
+    if (sweep == nullptr) return fn(method_task, stripe_compute, rows, &map);
+    ScopedMemoryCharge swept_charge(stripe_compute.exec,
+                                    "engine/swept_points");
+    std::vector<Point> swept_points;
+    KdvTask swept;
+    SLAM_RETURN_NOT_OK(CopySweptPoints(run_task, c, lines, rows, &swept_charge,
+                                       &swept_points, &swept));
+    return ComputeEndpointSweep(swept, stripe_compute, *sweep, lines, rows,
+                                &map);
+  };
+  const int num_lines = lines == SweptLines::kColumns ? run_task.grid.width()
+                                                      : run_task.grid.height();
+  if (!num_threads.has_value()) {
+    SLAM_RETURN_NOT_OK(run_stripe({0, num_lines}, compute));
+    return map;
+  }
+
+  SLAM_RETURN_NOT_OK(ExecCheck(exec, "parallel/start"));
+  // Stripes share the caller's deadline/budget/fault injector but get a
+  // cancellation token chained to the caller's: the first failing stripe
+  // trips it, so sibling stripes stop at their next line poll instead of
+  // running to completion.
+  CancellationToken stripe_cancel(exec != nullptr ? exec->cancellation()
+                                                  : nullptr);
+  ExecContext stripe_exec;
+  if (exec != nullptr) stripe_exec = *exec;
+  stripe_exec.set_cancellation(&stripe_cancel);
+  ComputeOptions stripe_options = compute;
+  stripe_options.exec = &stripe_exec;
+  FirstErrorCollector errors(&stripe_cancel);
+  {
+    // Scope: the pool joins before the first error is read or `map`
+    // returned, so no stripe thread outlives this function. Stripes write
+    // disjoint lines of `map`, so the raster needs no lock.
+    ThreadPool pool(*num_threads);
+    ParallelFor(&pool, 0, num_lines, [&](int64_t begin, int64_t end) {
+      // A Cancelled here is a sibling's doing, and its error is already
+      // recorded; Record() keeps only the first status.
+      Status status = stripe_exec.Check("parallel/stripe");
+      if (status.ok()) {
+        status = run_stripe({PixelIndex(begin), PixelIndex(end)},
+                            stripe_options);
+      }
+      if (!status.ok()) errors.Record(status);
+    });
+  }
+  SLAM_RETURN_NOT_OK(errors.TakeStatus());
   return map;
+}
+
+}  // namespace
+
+Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
+                              const EngineOptions& options) {
+  return RunEngine(task, method, options, std::nullopt);
+}
+
+Result<DensityMap> ComputeKdvParallel(const KdvTask& task, Method method,
+                                      const ParallelOptions& options) {
+  return RunEngine(task, method, options.engine, options.num_threads);
 }
 
 size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,

@@ -1,8 +1,10 @@
 // KdvEngine: single entry point over all ten KDV methods of the paper's
-// Table 6. Validates the task, optionally recenters coordinates for
-// floating-point conditioning, hands the SLAM methods their points sorted
-// along the swept axis (DESIGN.md §4 item 4), dispatches, and returns the
-// density raster.
+// Table 6. Once per call it validates the task, optionally recenters
+// coordinates for floating-point conditioning, picks RAO's sweep axis and
+// creates the density raster; then it runs the method over the raster's
+// lines, handing the SLAM methods their points sorted along the swept axis
+// (DESIGN.md §4 item 4). ComputeKdvParallel (kdv/parallel.h) is the same
+// call with the lines split across threads.
 #pragma once
 
 #include <span>
@@ -50,8 +52,9 @@ struct EngineOptions {
   /// is only applied when the viewport center's magnitude dwarfs its
   /// extent (TaskFarFromOrigin). The four SLAM methods always copy the
   /// points they can reach, sorted along the swept axis, and apply the
-  /// shift in that copy; the other methods make a recentered copy only
-  /// when the shift applies, so well-conditioned tasks stay copy-free.
+  /// shift in that copy; the other methods make one recentered copy per
+  /// call only when the shift applies, so well-conditioned tasks stay
+  /// copy-free.
   bool recenter_coordinates = true;
   /// Opt-in input sanitization: drop points with NaN/Inf coordinates (one
   /// O(n) copy, warning logged with the dropped count) instead of failing

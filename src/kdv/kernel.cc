@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -44,6 +45,14 @@ bool KernelSupportedBySlam(KernelType kernel) {
       return false;
   }
   return false;
+}
+
+Status CheckKernelSupportedBySlam(KernelType kernel) {
+  if (KernelSupportedBySlam(kernel)) return Status::OK();
+  return Status::InvalidArgument(
+      "SLAM cannot support the " + std::string(KernelTypeName(kernel)) +
+      " kernel: its density has no finite aggregate decomposition (paper "
+      "Section 3.7)");
 }
 
 KernelEvalProfile MakeKernelEvalProfile(double bandwidth) {

@@ -38,6 +38,11 @@ Result<KernelType> KernelTypeFromName(std::string_view name);
 /// True for the bandwidth-limited kernels SLAM's decomposition covers.
 bool KernelSupportedBySlam(KernelType kernel);
 
+/// InvalidArgument unless KernelSupportedBySlam(kernel): the one refusal
+/// every SLAM entry point (the engine and a direct ComputeSlamSort /
+/// ComputeSlamBucket call) returns for an unsupported kernel.
+Status CheckKernelSupportedBySlam(KernelType kernel);
+
 /// Guarded per-evaluation constants shared by every kernel path — the
 /// scalar closed forms below, the SIMD row sweeps (src/simd/), and direct
 /// evaluation. The kernel polynomials divide by the bandwidth and its

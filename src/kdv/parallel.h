@@ -1,14 +1,14 @@
-// Row-parallel KDV (the paper's "parallel/distributed methods" future-work
-// axis, Section 5). Pixel rows are independent in every method here, so
-// the raster is split into horizontal stripes, each computed by the base
-// method on a sub-grid, on its own thread with its own workspace.
+// Line-parallel KDV (the paper's "parallel/distributed methods" future-work
+// axis, Section 5). Given the shared input, the swept lines are
+// independent in every method here (Lemmas 1-5; RAO only picks their
+// axis), so ComputeKdvParallel is ComputeKdv with its lines split: the
+// engine's prologue runs once, then ParallelFor's stripes of the lines run
+// on a thread pool, each writing its own lines of the one raster
+// (kdv/engine.cc). The result is ComputeKdv's raster bit for bit.
 //
-// Exactness is preserved: a stripe's sub-task has the same points, kernel,
-// bandwidth and pixel lattice — only the y range is restricted.
-//
-// Intended for the SLAM methods, whose per-call setup is O(1): index-based
-// baselines would rebuild their index once per stripe (still correct, just
-// wasteful), which mirrors why the paper treats parallelism as orthogonal.
+// What each stripe still pays for itself: the SLAM methods copy and sort
+// the points its lines can reach, and the index-based baselines build
+// their index once per stripe.
 #pragma once
 
 #include "kdv/density_map.h"
@@ -24,17 +24,18 @@ struct ParallelOptions {
   EngineOptions engine;
 };
 
-/// Computes the same raster as ComputeKdv(task, method), using stripes of
-/// pixel rows across a thread pool.
+/// Computes ComputeKdv(task, method, options.engine)'s raster, bit for bit,
+/// with its swept lines (rows, or columns when RAO sweeps columns) split
+/// into stripes across a thread pool.
 ///
 /// Concurrency contract (checked by clang -Wthread-safety over the
 /// annotated primitives in util/mutex.h, and exercised under TSan by
 /// tests/engine/parallel_stress_test.cc):
-///  * stripes write disjoint row ranges of the shared raster, so raster
+///  * stripes write disjoint lines of the shared raster, so raster
 ///    writes need no lock;
 ///  * failure aggregation is first-error-wins through a mutex-guarded
 ///    collector that also trips a stripe-local CancellationToken chained
-///    to the caller's, so sibling stripes stop at their next row poll;
+///    to the caller's, so sibling stripes stop at their next line poll;
 ///  * the pool joins before the raster or status is read, so no stripe
 ///    thread outlives the call.
 Result<DensityMap> ComputeKdvParallel(const KdvTask& task, Method method,

@@ -56,6 +56,18 @@ struct ComputeOptions {
   SimdLevel simd = SimdLevel::kAuto;
 };
 
+/// The lines [begin, end) one method body computes. Every body (the six
+/// baselines and the SLAM sweep, core/sweep_rows.h) takes a task the engine
+/// has already validated, and writes only those lines into a raster its
+/// caller created: rows of the task's grid, or columns of the output when
+/// the SLAM sweep runs along columns. Lines are independent, so the engine
+/// can run disjoint ranges of one raster on different threads
+/// (ComputeKdvParallel) and get the serial raster bit for bit.
+struct RowRange {
+  int begin = 0;
+  int end = 0;
+};
+
 /// Rejects empty grids, non-positive or non-finite bandwidth/weight, and
 /// points with NaN/Inf coordinates (the O(n) scan is negligible next to
 /// any density computation, which is at least O(n) per pixel row). To drop

@@ -1,6 +1,6 @@
-#include "baselines/akde.h"
-
 #include <gtest/gtest.h>
+
+#include "kdv/engine.h"
 
 #include "testing/test_util.h"
 
@@ -28,11 +28,11 @@ TEST(AkdeTest, ZeroEpsilonIsExact) {
        {KernelType::kUniform, KernelType::kEpanechnikov,
         KernelType::kQuartic}) {
     const KdvTask task = MakeAkdeTask(pts, kernel);
-    ComputeOptions opts;
-    opts.akde_epsilon = 0.0;
-    DensityMap out;
-    ASSERT_TRUE(ComputeAkde(task, opts, &out).ok());
-    ExpectMapsNear(BruteForceDensity(task), out, 1e-9,
+    EngineOptions opts;
+    opts.compute.akde_epsilon = 0.0;
+    const auto out = ComputeKdv(task, Method::kAkde, opts);
+    ASSERT_TRUE(out.ok());
+    ExpectMapsNear(BruteForceDensity(task), *out, 1e-9,
                    std::string(KernelTypeName(kernel)).c_str());
   }
 }
@@ -40,41 +40,40 @@ TEST(AkdeTest, ZeroEpsilonIsExact) {
 TEST(AkdeTest, ErrorBoundedByEpsilon) {
   const auto pts = ClusteredPoints(5000, 70.0, 3, 421);
   const KdvTask task = MakeAkdeTask(pts, KernelType::kEpanechnikov);
-  ComputeOptions opts;
-  opts.akde_epsilon = 0.01;
-  DensityMap out;
-  ASSERT_TRUE(ComputeAkde(task, opts, &out).ok());
+  EngineOptions opts;
+  opts.compute.akde_epsilon = 0.01;
+  const auto out = ComputeKdv(task, Method::kAkde, opts);
+  ASSERT_TRUE(out.ok());
   const DensityMap exact = BruteForceDensity(task);
   // Per-point midpoint error <= eps/2, n points, weight w = 1/n:
   // per-pixel density error <= w * n * eps/2 = eps/2.
-  const auto cmp = *exact.CompareTo(out);
+  const auto cmp = *exact.CompareTo(*out);
   EXPECT_LE(cmp.max_abs_diff, 0.01 / 2.0 + 1e-12);
 }
 
 TEST(AkdeTest, SupportsGaussianKernel) {
   const auto pts = ClusteredPoints(500, 70.0, 2, 431);
   const KdvTask task = MakeAkdeTask(pts, KernelType::kGaussian);
-  ComputeOptions opts;
-  opts.akde_epsilon = 0.0;
-  DensityMap out;
-  ASSERT_TRUE(ComputeAkde(task, opts, &out).ok());
-  ExpectMapsNear(BruteForceDensity(task), out, 1e-9);
+  EngineOptions opts;
+  opts.compute.akde_epsilon = 0.0;
+  const auto out = ComputeKdv(task, Method::kAkde, opts);
+  ASSERT_TRUE(out.ok());
+  ExpectMapsNear(BruteForceDensity(task), *out, 1e-9);
 }
 
 TEST(AkdeTest, RejectsNegativeEpsilon) {
   const auto pts = ClusteredPoints(10, 70.0, 1, 433);
   const KdvTask task = MakeAkdeTask(pts, KernelType::kEpanechnikov);
-  ComputeOptions opts;
-  opts.akde_epsilon = -0.5;
-  DensityMap out;
-  EXPECT_FALSE(ComputeAkde(task, opts, &out).ok());
+  EngineOptions opts;
+  opts.compute.akde_epsilon = -0.5;
+  EXPECT_FALSE(ComputeKdv(task, Method::kAkde, opts).ok());
 }
 
 TEST(AkdeTest, EmptyPoints) {
   const KdvTask task = MakeAkdeTask({}, KernelType::kEpanechnikov);
-  DensityMap out;
-  ASSERT_TRUE(ComputeAkde(task, {}, &out).ok());
-  EXPECT_EQ(out.MaxValue(), 0.0);
+  const auto out = ComputeKdv(task, Method::kAkde);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->MaxValue(), 0.0);
 }
 
 TEST(AkdeTest, HonorsDeadline) {
@@ -84,10 +83,9 @@ TEST(AkdeTest, HonorsDeadline) {
   const Deadline expired(1e-9);
   ExecContext exec;
   exec.set_deadline(&expired);
-  ComputeOptions opts;
-  opts.exec = &exec;
-  DensityMap out;
-  EXPECT_EQ(ComputeAkde(task, opts, &out).code(),
+  EngineOptions opts;
+  opts.compute.exec = &exec;
+  EXPECT_EQ(ComputeKdv(task, Method::kAkde, opts).status().code(),
             StatusCode::kDeadlineExceeded);
 }
 

@@ -1,6 +1,6 @@
-#include "baselines/quad.h"
-
 #include <gtest/gtest.h>
+
+#include "kdv/engine.h"
 
 #include "testing/test_util.h"
 
@@ -29,9 +29,9 @@ TEST(QuadTest, DefaultModeIsExactForBoundedKernels) {
        {KernelType::kUniform, KernelType::kEpanechnikov,
         KernelType::kQuartic}) {
     const KdvTask task = MakeQuadTask(pts, kernel);
-    DensityMap out;
-    ASSERT_TRUE(ComputeQuad(task, {}, &out).ok());
-    ExpectMapsNear(BruteForceDensity(task), out, 1e-9,
+    const auto out = ComputeKdv(task, Method::kQuad);
+    ASSERT_TRUE(out.ok());
+    ExpectMapsNear(BruteForceDensity(task), *out, 1e-9,
                    std::string(KernelTypeName(kernel)).c_str());
   }
 }
@@ -39,30 +39,29 @@ TEST(QuadTest, DefaultModeIsExactForBoundedKernels) {
 TEST(QuadTest, GaussianFallsBackToBoundTraversal) {
   const auto pts = ClusteredPoints(400, 70.0, 2, 449);
   const KdvTask task = MakeQuadTask(pts, KernelType::kGaussian);
-  DensityMap out;
-  ASSERT_TRUE(ComputeQuad(task, {}, &out).ok());
-  ExpectMapsNear(BruteForceDensity(task), out, 1e-9);
+  const auto out = ComputeKdv(task, Method::kQuad);
+  ASSERT_TRUE(out.ok());
+  ExpectMapsNear(BruteForceDensity(task), *out, 1e-9);
 }
 
 TEST(QuadTest, EpsilonModeBounded) {
   const auto pts = ClusteredPoints(5000, 70.0, 3, 457);
   const KdvTask task = MakeQuadTask(pts, KernelType::kEpanechnikov);
-  ComputeOptions opts;
-  opts.quad_epsilon = 0.02;
-  DensityMap out;
-  ASSERT_TRUE(ComputeQuad(task, opts, &out).ok());
+  EngineOptions opts;
+  opts.compute.quad_epsilon = 0.02;
+  const auto out = ComputeKdv(task, Method::kQuad, opts);
+  ASSERT_TRUE(out.ok());
   const DensityMap exact = BruteForceDensity(task);
-  const auto cmp = *exact.CompareTo(out);
+  const auto cmp = *exact.CompareTo(*out);
   EXPECT_LE(cmp.max_abs_diff, 0.02 / 2.0 + 1e-12);
 }
 
 TEST(QuadTest, RejectsNegativeEpsilon) {
   const auto pts = ClusteredPoints(10, 70.0, 1, 461);
   const KdvTask task = MakeQuadTask(pts, KernelType::kUniform);
-  ComputeOptions opts;
-  opts.quad_epsilon = -1.0;
-  DensityMap out;
-  EXPECT_FALSE(ComputeQuad(task, opts, &out).ok());
+  EngineOptions opts;
+  opts.compute.quad_epsilon = -1.0;
+  EXPECT_FALSE(ComputeKdv(task, Method::kQuad, opts).ok());
 }
 
 TEST(QuadTest, LargeBandwidthUsesWholeNodeAggregates) {
@@ -70,16 +69,16 @@ TEST(QuadTest, LargeBandwidthUsesWholeNodeAggregates) {
   // disk and the density must still be exact.
   const auto pts = ClusteredPoints(600, 70.0, 4, 463);
   const KdvTask task = MakeQuadTask(pts, KernelType::kQuartic, 500.0);
-  DensityMap out;
-  ASSERT_TRUE(ComputeQuad(task, {}, &out).ok());
-  ExpectMapsNear(BruteForceDensity(task), out, 1e-9);
+  const auto out = ComputeKdv(task, Method::kQuad);
+  ASSERT_TRUE(out.ok());
+  ExpectMapsNear(BruteForceDensity(task), *out, 1e-9);
 }
 
 TEST(QuadTest, EmptyPoints) {
   const KdvTask task = MakeQuadTask({}, KernelType::kEpanechnikov);
-  DensityMap out;
-  ASSERT_TRUE(ComputeQuad(task, {}, &out).ok());
-  EXPECT_EQ(out.MaxValue(), 0.0);
+  const auto out = ComputeKdv(task, Method::kQuad);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->MaxValue(), 0.0);
 }
 
 TEST(QuadTest, HonorsDeadline) {
@@ -89,10 +88,9 @@ TEST(QuadTest, HonorsDeadline) {
   const Deadline expired(1e-9);
   ExecContext exec;
   exec.set_deadline(&expired);
-  ComputeOptions opts;
-  opts.exec = &exec;
-  DensityMap out;
-  EXPECT_EQ(ComputeQuad(task, opts, &out).code(),
+  EngineOptions opts;
+  opts.compute.exec = &exec;
+  EXPECT_EQ(ComputeKdv(task, Method::kQuad, opts).status().code(),
             StatusCode::kDeadlineExceeded);
 }
 

@@ -1,6 +1,6 @@
-#include "baselines/rqs.h"
-
 #include <gtest/gtest.h>
+
+#include "kdv/engine.h"
 
 #include "testing/test_util.h"
 
@@ -30,9 +30,9 @@ TEST(RqsKdTest, ExactForBoundedKernels) {
        {KernelType::kUniform, KernelType::kEpanechnikov,
         KernelType::kQuartic}) {
     const KdvTask task = MakeRqsTask(pts, kernel, 7.0);
-    DensityMap out;
-    ASSERT_TRUE(ComputeRqsKd(task, {}, &out).ok());
-    ExpectMapsNear(BruteForceDensity(task), out, 1e-9,
+    const auto out = ComputeKdv(task, Method::kRqsKd);
+    ASSERT_TRUE(out.ok());
+    ExpectMapsNear(BruteForceDensity(task), *out, 1e-9,
                    std::string(KernelTypeName(kernel)).c_str());
   }
 }
@@ -43,9 +43,9 @@ TEST(RqsBallTest, ExactForBoundedKernels) {
        {KernelType::kUniform, KernelType::kEpanechnikov,
         KernelType::kQuartic}) {
     const KdvTask task = MakeRqsTask(pts, kernel, 7.0);
-    DensityMap out;
-    ASSERT_TRUE(ComputeRqsBall(task, {}, &out).ok());
-    ExpectMapsNear(BruteForceDensity(task), out, 1e-9,
+    const auto out = ComputeKdv(task, Method::kRqsBall);
+    ASSERT_TRUE(out.ok());
+    ExpectMapsNear(BruteForceDensity(task), *out, 1e-9,
                    std::string(KernelTypeName(kernel)).c_str());
   }
 }
@@ -53,27 +53,29 @@ TEST(RqsBallTest, ExactForBoundedKernels) {
 TEST(RqsTest, KdAndBallAgree) {
   const auto pts = RandomPoints(500, 60.0, 373);
   const KdvTask task = MakeRqsTask(pts, KernelType::kEpanechnikov, 10.0);
-  DensityMap kd, ball;
-  ASSERT_TRUE(ComputeRqsKd(task, {}, &kd).ok());
-  ASSERT_TRUE(ComputeRqsBall(task, {}, &ball).ok());
-  ExpectMapsNear(kd, ball, 1e-10);
+  const auto kd = ComputeKdv(task, Method::kRqsKd);
+  const auto ball = ComputeKdv(task, Method::kRqsBall);
+  ASSERT_TRUE(kd.ok());
+  ASSERT_TRUE(ball.ok());
+  ExpectMapsNear(*kd, *ball, 1e-10);
 }
 
 TEST(RqsTest, TinyBandwidthFindsOnlyCoincidentPoints) {
   const std::vector<Point> pts{{30.05, 30.05}};  // near a pixel center
   const KdvTask task = MakeRqsTask(pts, KernelType::kUniform, 0.05);
-  DensityMap out;
-  ASSERT_TRUE(ComputeRqsKd(task, {}, &out).ok());
-  ExpectMapsNear(BruteForceDensity(task), out, 1e-12);
+  const auto out = ComputeKdv(task, Method::kRqsKd);
+  ASSERT_TRUE(out.ok());
+  ExpectMapsNear(BruteForceDensity(task), *out, 1e-12);
 }
 
 TEST(RqsTest, EmptyPoints) {
   const KdvTask task = MakeRqsTask({}, KernelType::kQuartic, 5.0);
-  DensityMap kd, ball;
-  ASSERT_TRUE(ComputeRqsKd(task, {}, &kd).ok());
-  ASSERT_TRUE(ComputeRqsBall(task, {}, &ball).ok());
-  EXPECT_EQ(kd.MaxValue(), 0.0);
-  EXPECT_EQ(ball.MaxValue(), 0.0);
+  const auto kd = ComputeKdv(task, Method::kRqsKd);
+  const auto ball = ComputeKdv(task, Method::kRqsBall);
+  ASSERT_TRUE(kd.ok());
+  ASSERT_TRUE(ball.ok());
+  EXPECT_EQ(kd->MaxValue(), 0.0);
+  EXPECT_EQ(ball->MaxValue(), 0.0);
 }
 
 TEST(RqsTest, HonorsDeadline) {
@@ -83,12 +85,11 @@ TEST(RqsTest, HonorsDeadline) {
   const Deadline expired(1e-9);
   ExecContext exec;
   exec.set_deadline(&expired);
-  ComputeOptions opts;
-  opts.exec = &exec;
-  DensityMap out;
-  EXPECT_EQ(ComputeRqsKd(task, opts, &out).code(),
+  EngineOptions opts;
+  opts.compute.exec = &exec;
+  EXPECT_EQ(ComputeKdv(task, Method::kRqsKd, opts).status().code(),
             StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(ComputeRqsBall(task, opts, &out).code(),
+  EXPECT_EQ(ComputeKdv(task, Method::kRqsBall, opts).status().code(),
             StatusCode::kDeadlineExceeded);
 }
 
@@ -96,9 +97,8 @@ TEST(RqsTest, RejectsInvalidTask) {
   const std::vector<Point> pts{{0, 0}};
   KdvTask task = MakeRqsTask(pts, KernelType::kUniform, 5.0);
   task.grid = Grid{};
-  DensityMap out;
-  EXPECT_FALSE(ComputeRqsKd(task, {}, &out).ok());
-  EXPECT_FALSE(ComputeRqsBall(task, {}, &out).ok());
+  EXPECT_FALSE(ComputeKdv(task, Method::kRqsKd).ok());
+  EXPECT_FALSE(ComputeKdv(task, Method::kRqsBall).ok());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-#include "baselines/scan.h"
-
 #include <gtest/gtest.h>
+
+#include "kdv/engine.h"
 
 #include "testing/test_util.h"
 
@@ -28,9 +28,9 @@ TEST(ScanTest, MatchesIndependentBruteForce) {
        {KernelType::kUniform, KernelType::kEpanechnikov, KernelType::kQuartic,
         KernelType::kGaussian}) {
     const KdvTask task = MakeScanTask(pts, kernel);
-    DensityMap out;
-    ASSERT_TRUE(ComputeScan(task, {}, &out).ok());
-    ExpectMapsNear(BruteForceDensity(task), out, 1e-12,
+    const auto out = ComputeKdv(task, Method::kScan);
+    ASSERT_TRUE(out.ok());
+    ExpectMapsNear(BruteForceDensity(task), *out, 1e-12,
                    std::string(KernelTypeName(kernel)).c_str());
   }
 }
@@ -38,25 +38,24 @@ TEST(ScanTest, MatchesIndependentBruteForce) {
 TEST(ScanTest, SupportsGaussianUnlikeSlam) {
   const auto pts = RandomPoints(50, 40.0, 349);
   const KdvTask task = MakeScanTask(pts, KernelType::kGaussian);
-  DensityMap out;
-  ASSERT_TRUE(ComputeScan(task, {}, &out).ok());
+  const auto out = ComputeKdv(task, Method::kScan);
+  ASSERT_TRUE(out.ok());
   // Gaussian has unbounded support: strictly positive everywhere.
-  EXPECT_GT(out.MinValue(), 0.0);
+  EXPECT_GT(out->MinValue(), 0.0);
 }
 
 TEST(ScanTest, EmptyPoints) {
   const KdvTask task = MakeScanTask({}, KernelType::kEpanechnikov);
-  DensityMap out;
-  ASSERT_TRUE(ComputeScan(task, {}, &out).ok());
-  EXPECT_EQ(out.MaxValue(), 0.0);
+  const auto out = ComputeKdv(task, Method::kScan);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->MaxValue(), 0.0);
 }
 
 TEST(ScanTest, RejectsInvalidTask) {
   const std::vector<Point> pts{{0, 0}};
   KdvTask task = MakeScanTask(pts, KernelType::kUniform);
   task.weight = -1.0;
-  DensityMap out;
-  EXPECT_FALSE(ComputeScan(task, {}, &out).ok());
+  EXPECT_FALSE(ComputeKdv(task, Method::kScan).ok());
 }
 
 TEST(ScanTest, HonorsDeadline) {
@@ -66,10 +65,9 @@ TEST(ScanTest, HonorsDeadline) {
   const Deadline expired(1e-9);
   ExecContext exec;
   exec.set_deadline(&expired);
-  ComputeOptions opts;
-  opts.exec = &exec;
-  DensityMap out;
-  EXPECT_EQ(ComputeScan(task, opts, &out).code(),
+  EngineOptions opts;
+  opts.compute.exec = &exec;
+  EXPECT_EQ(ComputeKdv(task, Method::kScan, opts).status().code(),
             StatusCode::kDeadlineExceeded);
 }
 

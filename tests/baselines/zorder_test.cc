@@ -1,6 +1,6 @@
-#include "baselines/zorder.h"
-
 #include <gtest/gtest.h>
+
+#include "kdv/engine.h"
 
 #include "testing/test_util.h"
 
@@ -24,16 +24,16 @@ KdvTask MakeZTask(const std::vector<Point>& pts) {
 TEST(ZorderTest, ApproximatesExactDensity) {
   const auto pts = ClusteredPoints(20000, 80.0, 5, 383);
   const KdvTask task = MakeZTask(pts);
-  ComputeOptions opts;
-  opts.zorder_epsilon = 0.05;
-  DensityMap out;
-  ASSERT_TRUE(ComputeZorder(task, opts, &out).ok());
+  EngineOptions opts;
+  opts.compute.zorder_epsilon = 0.05;
+  const auto out = ComputeKdv(task, Method::kZorder, opts);
+  ASSERT_TRUE(out.ok());
   const DensityMap exact = BruteForceDensity(task);
   // Error should be a small fraction of the density scale.
-  const auto cmp = *exact.CompareTo(out);
+  const auto cmp = *exact.CompareTo(*out);
   EXPECT_LT(cmp.max_abs_diff, 0.25 * exact.MaxValue());
   // And the total mass should be close (sampling is unbiased-ish).
-  EXPECT_NEAR(out.Sum() / exact.Sum(), 1.0, 0.15);
+  EXPECT_NEAR(out->Sum() / exact.Sum(), 1.0, 0.15);
 }
 
 TEST(ZorderTest, SmallerEpsilonIsMoreAccurate) {
@@ -42,13 +42,13 @@ TEST(ZorderTest, SmallerEpsilonIsMoreAccurate) {
   const DensityMap exact = BruteForceDensity(task);
   double prev_err = -1.0;
   for (const double eps : {0.2, 0.05, 0.01}) {
-    ComputeOptions opts;
-    opts.zorder_epsilon = eps;
-    DensityMap out;
-    ASSERT_TRUE(ComputeZorder(task, opts, &out).ok());
+    EngineOptions opts;
+    opts.compute.zorder_epsilon = eps;
+    const auto out = ComputeKdv(task, Method::kZorder, opts);
+    ASSERT_TRUE(out.ok());
     double err = 0.0;
-    for (size_t i = 0; i < out.values().size(); ++i) {
-      err += std::abs(out.values()[i] - exact.values()[i]);
+    for (size_t i = 0; i < out->values().size(); ++i) {
+      err += std::abs(out->values()[i] - exact.values()[i]);
     }
     if (prev_err >= 0.0) {
       EXPECT_LT(err, prev_err * 1.2);  // allow slack; trend must hold
@@ -61,29 +61,28 @@ TEST(ZorderTest, EpsilonCoveringWholeDatasetIsExact) {
   // Sample size >= n -> the "sample" is the full dataset -> exact result.
   const auto pts = ClusteredPoints(400, 80.0, 3, 397);
   const KdvTask task = MakeZTask(pts);
-  ComputeOptions opts;
-  opts.zorder_epsilon = 0.01;  // 1/eps^2 = 10000 > 400
-  DensityMap out;
-  ASSERT_TRUE(ComputeZorder(task, opts, &out).ok());
-  testing::ExpectMapsNear(BruteForceDensity(task), out, 1e-9);
+  EngineOptions opts;
+  opts.compute.zorder_epsilon = 0.01;  // 1/eps^2 = 10000 > 400
+  const auto out = ComputeKdv(task, Method::kZorder, opts);
+  ASSERT_TRUE(out.ok());
+  testing::ExpectMapsNear(BruteForceDensity(task), *out, 1e-9);
 }
 
 TEST(ZorderTest, RejectsBadEpsilon) {
   const auto pts = ClusteredPoints(100, 80.0, 2, 401);
   const KdvTask task = MakeZTask(pts);
-  DensityMap out;
-  ComputeOptions opts;
-  opts.zorder_epsilon = 0.0;
-  EXPECT_FALSE(ComputeZorder(task, opts, &out).ok());
-  opts.zorder_epsilon = 1.5;
-  EXPECT_FALSE(ComputeZorder(task, opts, &out).ok());
+  EngineOptions opts;
+  opts.compute.zorder_epsilon = 0.0;
+  EXPECT_FALSE(ComputeKdv(task, Method::kZorder, opts).ok());
+  opts.compute.zorder_epsilon = 1.5;
+  EXPECT_FALSE(ComputeKdv(task, Method::kZorder, opts).ok());
 }
 
 TEST(ZorderTest, EmptyPoints) {
   const KdvTask task = MakeZTask({});
-  DensityMap out;
-  ASSERT_TRUE(ComputeZorder(task, {}, &out).ok());
-  EXPECT_EQ(out.MaxValue(), 0.0);
+  const auto out = ComputeKdv(task, Method::kZorder);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->MaxValue(), 0.0);
 }
 
 TEST(ZorderTest, PreservesTotalWeightScale) {
@@ -91,12 +90,12 @@ TEST(ZorderTest, PreservesTotalWeightScale) {
   // the hotspot magnitude stays on the same scale as exact.
   const auto pts = ClusteredPoints(5000, 80.0, 1, 409);
   const KdvTask task = MakeZTask(pts);
-  ComputeOptions opts;
-  opts.zorder_epsilon = 0.1;
-  DensityMap out;
-  ASSERT_TRUE(ComputeZorder(task, opts, &out).ok());
+  EngineOptions opts;
+  opts.compute.zorder_epsilon = 0.1;
+  const auto out = ComputeKdv(task, Method::kZorder, opts);
+  ASSERT_TRUE(out.ok());
   const DensityMap exact = BruteForceDensity(task);
-  EXPECT_NEAR(out.MaxValue() / exact.MaxValue(), 1.0, 0.3);
+  EXPECT_NEAR(out->MaxValue() / exact.MaxValue(), 1.0, 0.3);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <limits>
 
+#include "core/slam_bucket.h"
+#include "kdv/parallel.h"
 #include "testing/test_util.h"
 #include "util/exec_context.h"
 
@@ -73,6 +75,23 @@ TEST(EngineTest, SlamRejectsGaussianWithClearError) {
     ASSERT_FALSE(result.ok()) << MethodName(m);
     EXPECT_TRUE(result.status().IsInvalidArgument());
     EXPECT_NE(result.status().message().find("gaussian"), std::string::npos);
+  }
+}
+
+TEST(EngineTest, SlamKernelRefusalIsOneMessageOnEveryEntry) {
+  const auto pts = ClusteredPoints(50, 50.0, 2, 487);
+  const KdvTask task = MakeEngineTask(pts, KernelType::kGaussian);
+  const Status expected = CheckKernelSupportedBySlam(KernelType::kGaussian);
+  ASSERT_TRUE(expected.IsInvalidArgument());
+  ParallelOptions parallel;
+  parallel.num_threads = 2;
+  DensityMap direct;
+  for (const Status& status :
+       {ComputeKdv(task, Method::kSlamBucket).status(),
+        ComputeKdvParallel(task, Method::kSlamBucket, parallel).status(),
+        ComputeSlamBucket(task, {}, &direct)}) {
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_EQ(status.message(), expected.message());
   }
 }
 

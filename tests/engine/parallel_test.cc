@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "testing/test_util.h"
 
 namespace slam {
@@ -23,21 +28,56 @@ KdvTask MakeParallelTask(const std::vector<Point>& pts, int width,
   return task;
 }
 
-TEST(ParallelKdvTest, MatchesSerialToUlpsForSlam) {
-  const auto pts = ClusteredPoints(2000, 60.0, 5, 601);
-  const KdvTask task = MakeParallelTask(pts, 40, 37);  // odd height
-  const DensityMap serial = *ComputeKdv(task, Method::kSlamBucket);
-  for (const int threads : {1, 2, 3, 8}) {
-    ParallelOptions options;
-    options.num_threads = threads;
-    const auto parallel =
-        ComputeKdvParallel(task, Method::kSlamBucket, options);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    // A stripe evaluates row iy at (stripe_origin + iy*gap), which can
-    // differ from the serial (origin + (row_begin+iy)*gap) by one ulp of
-    // the row coordinate, so agreement is to rounding, not bitwise.
-    const auto cmp = *serial.CompareTo(*parallel);
-    EXPECT_LE(cmp.max_abs_diff, 1e-12) << threads << " threads";
+TEST(ParallelKdvTest, MatchesSerialBitForBit) {
+  // Every line is computed from the inputs the call's one prologue
+  // prepared, whichever thread runs it. The odd 37 rows split unevenly;
+  // on the tall 12x48 grid RAO sweeps columns, and the threads split the
+  // columns. The 1e7 offset makes the engine recenter.
+  const auto near = ClusteredPoints(2000, 60.0, 5, 601);
+  for (const auto& [width, height] : {std::pair{40, 37}, std::pair{12, 48}}) {
+    for (const double offset : {0.0, 1e7}) {
+      std::vector<Point> pts = near;
+      for (Point& p : pts) {
+        p.x += offset;
+        p.y += offset;
+      }
+      for (const KernelType kernel :
+           {KernelType::kUniform, KernelType::kEpanechnikov,
+            KernelType::kQuartic}) {
+        KdvTask task = MakeParallelTask(pts, width, height);
+        task.kernel = kernel;
+        task.grid = task.grid.Translated(-offset, -offset);
+        for (const SimdLevel level :
+             {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
+          if (!SimdLevelAvailable(level)) continue;
+          ParallelOptions options;
+          options.engine.compute.simd = level;
+          for (const Method m : AllMethods()) {
+            const std::string label =
+                std::string(MethodName(m)) + " " + std::to_string(width) +
+                "x" + std::to_string(height) + " offset " +
+                std::to_string(offset) + " " +
+                std::string(KernelTypeName(kernel)) + " " +
+                std::string(SimdLevelName(level));
+            const auto serial = ComputeKdv(task, m, options.engine);
+            ASSERT_TRUE(serial.ok()) << label << ": "
+                                     << serial.status().ToString();
+            for (const int threads : {1, 2, 3, 8}) {
+              options.num_threads = threads;
+              const auto parallel = ComputeKdvParallel(task, m, options);
+              ASSERT_TRUE(parallel.ok()) << label << ": "
+                                         << parallel.status().ToString();
+              ASSERT_EQ(parallel->values().size(), serial->values().size());
+              EXPECT_EQ(std::memcmp(parallel->values().data(),
+                                    serial->values().data(),
+                                    serial->values().size_bytes()),
+                        0)
+                  << label << ", " << threads << " threads";
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -56,8 +96,8 @@ TEST(ParallelKdvTest, AllExactMethodsStayExact) {
 }
 
 TEST(ParallelKdvTest, RaoMethodsInsideStripes) {
-  // Tall grid: RAO would transpose the full problem, but stripes are short
-  // and wide; the result must be exact either way.
+  // Tall grid: RAO sweeps the 10 columns, and the threads split the
+  // columns; the result must be exact.
   const auto pts = ClusteredPoints(600, 60.0, 4, 613);
   const KdvTask task = MakeParallelTask(pts, 10, 60);
   ParallelOptions options;

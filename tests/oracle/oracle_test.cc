@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "kdv/engine.h"
+#include "kdv/parallel.h"
 #include "kdv/task.h"
 #include "testing/test_util.h"
 
@@ -366,11 +367,12 @@ TEST(OraclePropertyTest, FarPointsAcrossTheSweptAxisAddNothing) {
   }
 }
 
-/// A valid task whose far point recenters past the 1e12 coordinate cap:
-/// the engine's copy keeps only points within b of the grid, so the
-/// recentered sweep never sees the shifted far point (x = -1.98e12) and
-/// has nothing to reject.
-TEST(OraclePropertyTest, SlamAcceptsPointsThatRecenterPastTheCap) {
+/// A valid task whose far point recenters past the 1e12 coordinate cap
+/// (x = -1.98e12). The engine validates the task once, as given: the SLAM
+/// copy keeps only points within b of the grid, so it never holds the
+/// shifted far point, and the other methods read the recentered copy
+/// without validating it again. Serial and line-parallel alike.
+TEST(OraclePropertyTest, EveryMethodAcceptsPointsThatRecenterPastTheCap) {
   const double o = 9.9e11;
   const std::vector<Point> points{{o + 50.0, o + 40.0}, {-o, o + 40.0}};
   for (const KernelType kernel :
@@ -388,15 +390,23 @@ TEST(OraclePropertyTest, SlamAcceptsPointsThatRecenterPastTheCap) {
     const auto reference = ReferenceScan(task);
     ASSERT_TRUE(reference.ok());
     ASSERT_GT(reference->MaxValue(), 0.0);
-    for (const Method method :
-         {Method::kSlamSort, Method::kSlamBucket, Method::kSlamSortRao,
-          Method::kSlamBucketRao}) {
+    ParallelOptions parallel;
+    parallel.num_threads = 3;
+    parallel.engine = ExactEngineOptions();
+    for (const Method method : AllMethods()) {
       const auto report =
           DiffAgainstReference(task, method, ExactEngineOptions(), *reference);
       ASSERT_TRUE(report.ok())
           << MethodName(method) << ": " << report.status().ToString();
       EXPECT_LE(report->max_rel_error, kMaxRelError)
           << MethodName(method) << " " << KernelTypeName(kernel);
+      const auto map = ComputeKdvParallel(task, method, parallel);
+      ASSERT_TRUE(map.ok())
+          << MethodName(method) << " parallel: " << map.status().ToString();
+      const auto parallel_report = CompareToReference(*map, *reference);
+      ASSERT_TRUE(parallel_report.ok());
+      EXPECT_LE(parallel_report->max_rel_error, kMaxRelError)
+          << MethodName(method) << " parallel " << KernelTypeName(kernel);
     }
   }
 }

@@ -89,7 +89,7 @@ int RunOrDie(int argc, char** argv) {
   parser.AddInt("hotspots", &hotspots,
                 "extract and print the top-N hotspots (0 = off)");
   parser.AddInt("threads", &threads,
-                "worker threads for the row-parallel wrapper (1 = serial)");
+                "worker threads to split the swept lines across (1 = serial)");
   parser.AddString("output", &output, "output PPM path (empty = no image)");
   parser.AddString("colormap", &colormap_name, "heat, grayscale, viridis");
   parser.AddDouble("gamma", &gamma, "colormap gamma (<1 boosts hotspots)");
