@@ -4,10 +4,11 @@
 //     RAO only changes the run when Y > X, where it sweeps the min(X, Y)
 //     columns instead of the rows.
 //  2. SLAM_SORT vs SLAM_BUCKET at growing n. Both names run the same
-//     five passes with the counting sort (DESIGN.md §12), so the pair
-//     measures one code path twice; Algorithm 1's comparison sort is not
-//     in the code (ROADMAP item 3).
-//  3. The engine's sorted envelope slices vs the paper's per-row scan.
+//     passes — here, called directly, the counting sort and the run sweep
+//     (DESIGN.md §12) — so the pair measures one code path twice;
+//     Algorithm 1's comparison sort is not in the code (ROADMAP item 3).
+//  3. The engine's sorted envelope slices and bucket sums vs the paper's
+//     per-row scan with the direct entry's counting sort.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -89,7 +90,9 @@ BENCHMARK(BM_SortVsBucket)
 /// The paper's per-row O(n) envelope scan (direct ComputeSlamBucket on the
 /// dataset's unsorted points) vs the engine's pass 1 (ComputeKdv: one
 /// sorted copy per compute, each row's envelope a slice of it). Both are
-/// exact; the sort is inside the timed region.
+/// exact; the sort is inside the timed region. The engine's lines also
+/// keep bucket sums where the direct call counting-sorts and runs the row
+/// sweep, so the pair times both differences together.
 void BM_EnvelopeStrategy(benchmark::State& state) {
   const bool sliced = state.range(0) != 0;
   const auto& ds = SharedCity();

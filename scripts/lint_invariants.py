@@ -19,11 +19,13 @@ DESIGN.md §13); this linter keeps the purely textual rules:
                      validation layer (util/validate.h) so hostile input is
                      rejected exactly once, with a typed Status.
 
-  comparison-sort    No `std::sort` / `std::stable_sort` in src/core/: the
-                     sweep hot paths order endpoints with the O(n + X)
-                     pixel-binned counting sort (simd histogram_scatter,
-                     DESIGN.md §12), and a comparison sort silently
-                     reintroduces the O(n log n) per row that PR 9 removed.
+  comparison-sort    No `std::sort` / `std::stable_sort` in src/core/: a
+                     swept line needs only each pixel bucket's sum, which
+                     the engine's bucket sums (simd bucket_sweep) and the
+                     direct entry's O(n + X) pixel-binned counting sort
+                     (simd histogram_scatter) give without ordering any
+                     endpoint (DESIGN.md §12), and a comparison sort
+                     silently reintroduces an O(n log n) per row.
                      The one sort a SLAM compute pays, of its points along
                      the swept axis, runs once per compute in the engine
                      (kdv/engine.cc, DESIGN.md §4 item 4), outside this
@@ -175,12 +177,13 @@ def check_comparison_sort(f: SourceFile) -> list[Violation]:
                     f.rel,
                     i,
                     "comparison-sort",
-                    "std::sort/std::stable_sort in a sweep hot path: order "
-                    "endpoints with the pixel-binned counting sort "
-                    "(SimdOps::histogram_scatter, DESIGN.md §12) — per-pixel "
-                    "runs need no internal order; a once-per-compute sort "
-                    "may carry a lint:allow(comparison-sort) waiver with a "
-                    "reason",
+                    "std::sort/std::stable_sort in a sweep hot path: a "
+                    "line needs each pixel bucket's sum, not an endpoint "
+                    "order — add endpoints into bucket sums "
+                    "(SimdOps::bucket_sweep) or bin them with the "
+                    "pixel-binned counting sort (SimdOps::histogram_scatter), "
+                    "DESIGN.md §12; a once-per-compute sort may carry a "
+                    "lint:allow(comparison-sort) waiver with a reason",
                 )
             )
     return out

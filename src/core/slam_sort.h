@@ -2,10 +2,11 @@
 // interval endpoints of the envelope points and sweep them together with
 // the (already sorted) pixel x-coordinates, maintaining the L/U aggregates.
 // Exact. The paper's per-row comparison sort gives O(Y (n log n + X))
-// (Theorem 1); this implementation orders the endpoints with the
-// pixel-binned counting sort instead (per-pixel runs need no internal
-// order — DESIGN.md §12), which drops the row cost to O(n + X) and makes
-// the method share SLAM_BUCKET's five-pass driver (core/sweep_rows.h).
+// (Theorem 1). Here a line needs only each pixel bucket's sum (DESIGN.md
+// §12), so the method shares SLAM_BUCKET's line loops (core/sweep_rows.h) at
+// O(n + X) per row: through ComputeKdv, bucket sums that order no
+// endpoint; called directly, the pixel-binned counting sort and the run
+// sweep.
 #pragma once
 
 #include "kdv/density_map.h"

@@ -1,10 +1,13 @@
 // Per-thread reusable workspace for the endpoint sweep methods (DESIGN.md
-// §12). One compute over a Y-row grid runs Y rows through the same five
-// dispatched passes (simd/sweep_ops.h); every lane the passes touch lives
-// here so a row costs zero allocations once the arena has grown to the
-// task's high-water mark, and — via the thread-local borrow in ScopedArena —
-// consecutive computes on the same thread (parallel stripes, animation
-// frames, serving retries) reuse the same heap instead of re-growing it.
+// §12). Every lane a compute's line passes (simd/sweep_ops.h) touch lives
+// here, so a line costs zero allocations, and — via the thread-local
+// borrow in ScopedArena — consecutive computes on the same thread
+// (parallel stripes, animation frames, serving retries) reuse the same heap
+// instead of re-growing it. The engine's path uses the envelope, interval
+// and bucket-index lanes, the bucket lane, qx and, for column sweeps, the
+// line lane, all sized before its first line. The direct entry's scan and
+// counting sort use the envelope, interval and bucket-index lanes, the run
+// offsets, cursors and run lanes, qx and the row sweep's scratch.
 //
 // Accounting contract: the arena's heap is charged against the borrowing
 // compute's ExecContext memory budget (ScopedMemoryCharge over HeapBytes())
@@ -21,12 +24,40 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "kdv/grid.h"
+#include "kdv/kernel.h"
 #include "simd/sweep_ops.h"
 
 namespace slam {
+
+/// std::allocator with a stronger alignment, for lanes the vector backends
+/// read in whole registers or cache lines.
+template <typename T, size_t kAlign>
+struct AlignedAllocator {
+  using value_type = T;
+  template <typename U>
+  struct rebind {
+    using other = AlignedAllocator<U, kAlign>;
+  };
+
+  AlignedAllocator() = default;
+  template <typename U>
+  AlignedAllocator(const AlignedAllocator<U, kAlign>& /*other*/) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{kAlign}));
+  }
+  void deallocate(T* p, size_t /*n*/) {
+    ::operator delete(p, std::align_val_t{kAlign});
+  }
+  friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
+    return true;
+  }
+};
 
 struct SweepArena {
   // SoA envelope (global coordinates) and interval endpoints.
@@ -34,9 +65,12 @@ struct SweepArena {
   std::vector<double> lb, ub;
   // Pixel bucket of every endpoint (the bucket_indices pass).
   std::vector<int32_t> lower_idx, upper_idx;
-  // Per-pixel run offsets (X + 2) and scatter cursors (X + 1) for the
-  // histogram_scatter pass; endpoints scattered into contiguous row-local
-  // SoA lanes.
+  // The engine's X + 1 buckets of BucketStride(kernel) doubles each
+  // (bucket_sweep), 64-byte aligned so an Epanechnikov bucket is one line.
+  std::vector<double, AlignedAllocator<double, 64>> buckets;
+  // The direct entry's counting sort: per-pixel run offsets (X + 2) and
+  // scatter cursors (X + 1) for the histogram_scatter pass, endpoints
+  // scattered into contiguous row-local SoA lanes.
   std::vector<int32_t> lower_offsets, upper_offsets;
   std::vector<int32_t> lower_cursor, upper_cursor;
   std::vector<double> lower_px, lower_py, upper_px, upper_py;
@@ -50,15 +84,22 @@ struct SweepArena {
   std::vector<double> line;
   RowSweepScratch scratch;
 
-  /// Sizes the per-compute lanes: envelope lanes to `envelope_lanes` —
-  /// the full point count when the rows scan (the dispatched filter writes
+  /// The engine's lanes, all sized here so that no line resizes them: the
+  /// envelope, interval and bucket-index lanes to `widest` points, the
+  /// bucket lane to X + 1 buckets of `kernel`, and qx. The counting sort's
+  /// lanes are emptied, so ShrinkToFit can drop what a direct compute left
+  /// in them.
+  void PrepareCompute(size_t widest, const GridAxis& xs, KernelType kernel);
+
+  /// The direct entry's per-compute lanes: envelope lanes to all
+  /// `envelope_lanes` points the rows scan (the dispatched filter writes
   /// survivors through a raw cursor, whole registers at a time — see
-  /// SimdOps::envelope_filter), the widest envelope when they slice sorted
-  /// points — offset/cursor arrays to the pixel axis, and qx filled unless
-  /// the cache key (origin, gap, count) already matches.
+  /// SimdOps::envelope_filter), offset/cursor arrays to the pixel axis, and
+  /// qx. The engine's bucket and line lanes are emptied.
   void PrepareCompute(size_t envelope_lanes, const GridAxis& xs);
 
-  /// Sizes the per-row endpoint lanes for `num_endpoints` envelope points.
+  /// Sizes the direct entry's per-row endpoint lanes for `num_endpoints`
+  /// envelope points.
   void PrepareRow(size_t num_endpoints);
 
   /// Heap held by the arena, accounted against the borrowing compute's
@@ -75,6 +116,9 @@ struct SweepArena {
   void Release();
 
  private:
+  /// Fills qx unless the cache key (origin, gap, count) already matches.
+  void PrepareQx(const GridAxis& xs);
+
   bool qx_valid_ = false;
   double qx_origin_ = 0.0;
   double qx_gap_ = 0.0;

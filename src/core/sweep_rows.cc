@@ -67,6 +67,61 @@ Status ChargeArena(SweepArena* ws, ScopedMemoryCharge* charge) {
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                             const SweepMethodLabels& labels, SweptLines lines,
                             RowRange rows, DensityMap* out) {
+  SLAM_ASSIGN_OR_RETURN(const SimdOps* ops, GetSimdOps(options.simd));
+  const bool columns = lines == SweptLines::kColumns;
+  const ExecContext* exec = options.exec;
+  ScopedMemoryCharge charge(exec, labels.workspace);
+  const GridAxis& xs = task.grid.x_axis();
+  // Every lane is sized and charged before the first line; no line
+  // resizes one.
+  ScopedArena ws;
+  ws->PrepareCompute(WidestEnvelope(task, rows), xs, task.kernel);
+  ws->line.resize(columns ? CheckedSize(xs.count) : 0);
+  SLAM_RETURN_NOT_OK(ChargeArena(&*ws, &charge));
+
+  BucketSweepArgs args;
+  args.kernel = task.kernel;
+  args.compensated = options.compensated_aggregates;
+  args.width = xs.count;
+  args.bandwidth = task.bandwidth;
+  args.weight = task.weight;
+  args.qy = 0.0;  // the row-local frame pins the query y to the line
+  args.qx = ws->qx.data();
+  args.ex = ws->ex.data();
+  args.ey = ws->ey.data();
+  args.lower_idx = ws->lower_idx.data();
+  args.upper_idx = ws->upper_idx.data();
+  args.buckets = ws->buckets.data();
+  // The points are sorted by y (the engine's swept copy, kdv/engine.cc), so
+  // each line's envelope is a run of them: the points the scan would emit,
+  // in the order it would emit them.
+  SortedEnvelopeCursor cursor(task.points);
+  for (RowIndex iy(rows.begin); iy < RowIndex(rows.end); ++iy) {
+    SLAM_RETURN_NOT_OK(ExecCheck(exec, labels.row));
+    const WorldY k = task.grid.YCoord(iy);
+    const std::span<const Point> envelope = cursor.Advance(k, task.bandwidth);
+    const size_t m = envelope.size();
+    SoaFromSpan(envelope, TypedLane<WorldX>(ws->ex.data(), m),
+                TypedLane<WorldY>(ws->ey.data(), m));
+    ops->bound_intervals(ws->ex.data(), ws->ey.data(), m, k.value(),
+                         task.bandwidth, ws->lb.data(), ws->ub.data());
+    ops->bucket_indices(ws->lb.data(), ws->ub.data(), m, xs,
+                        ws->lower_idx.data(), ws->upper_idx.data());
+    const Point origin = RowLocalOrigin(xs, k);
+    args.n = m;
+    args.origin_x = origin.x;
+    args.origin_y = origin.y;
+    args.out = columns ? ws->line.data() : out->mutable_density_row(iy).raw();
+    ops->bucket_sweep(args);
+    if (columns) StoreColumn(ws->line, PixelX(iy.value()), out);
+  }
+  return Status::OK();
+}
+
+Status ComputeDirectSweep(const KdvTask& task, const ComputeOptions& options,
+                          const SweepMethodLabels& labels, DensityMap* out) {
+  SLAM_RETURN_NOT_OK(ValidateTask(task));
+  SLAM_RETURN_NOT_OK(CheckKernelSupportedBySlam(task.kernel));
   if (task.points.size() >
       static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
     // The per-pixel run offsets and scatter cursors count endpoints in
@@ -76,43 +131,23 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                                    " supports at most 2^31 - 1 points");
   }
   SLAM_ASSIGN_OR_RETURN(const SimdOps* ops, GetSimdOps(options.simd));
-  const bool columns = lines == SweptLines::kColumns;
+  SLAM_ASSIGN_OR_RETURN(DensityMap map, DensityMap::Create(task.grid.width(),
+                                                           task.grid.height()));
   const ExecContext* exec = options.exec;
   ScopedMemoryCharge charge(exec, labels.workspace);
-  // Points sorted by y — the engine's swept copy (kdv/engine.cc) — hand
-  // every row its envelope as a run of the sorted order, the same points
-  // in the same order the scan would emit. Anything else gets Algorithms
-  // 1-2's rescan of all n points per row.
-  const bool sorted =
-      std::is_sorted(task.points.begin(), task.points.end(),
-                     [](const Point& a, const Point& b) { return a.y < b.y; });
-  SortedEnvelopeCursor cursor(task.points);
-
   const GridAxis& xs = task.grid.x_axis();
+  // Lemma 1's scan writes each row's survivors through a raw cursor into
+  // envelope lanes sized to all n points (SimdOps::envelope_filter).
   ScopedArena ws;
-  // The scan writes survivors through a raw cursor into envelope lanes
-  // sized to all n points (SimdOps::envelope_filter); slices are copied
-  // into lanes sized once to the widest envelope.
-  const size_t widest = sorted ? WidestEnvelope(task, rows) : 0;
-  ws->PrepareCompute(sorted ? widest : task.points.size(), xs);
-  if (sorted) ws->PrepareRow(widest);
-  ws->line.resize(columns ? CheckedSize(xs.count) : 0);
-  for (RowIndex iy(rows.begin); iy < RowIndex(rows.end); ++iy) {
+  ws->PrepareCompute(task.points.size(), xs);
+  for (RowIndex iy(0); iy < RowIndex(task.grid.height()); ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(exec, labels.row));
     const WorldY k = task.grid.YCoord(iy);
     const Point origin = RowLocalOrigin(xs, k);
-    size_t m = 0;
-    if (sorted) {
-      const std::span<const Point> envelope =
-          cursor.Advance(k, task.bandwidth);
-      m = envelope.size();
-      SoaFromSpan(envelope, TypedLane<WorldX>(ws->ex.data(), m),
-                  TypedLane<WorldY>(ws->ey.data(), m));
-    } else {
-      m = ops->envelope_filter(task.points, k.value(), task.bandwidth,
-                               ws->ex.data(), ws->ey.data());
-      ws->PrepareRow(m);
-    }
+    const size_t m = ops->envelope_filter(task.points, k.value(),
+                                          task.bandwidth, ws->ex.data(),
+                                          ws->ey.data());
+    ws->PrepareRow(m);
     ops->bound_intervals(ws->ex.data(), ws->ey.data(), m, k.value(),
                          task.bandwidth, ws->lb.data(), ws->ub.data());
     ops->bucket_indices(ws->lb.data(), ws->ub.data(), m, xs,
@@ -151,22 +186,9 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                   ws->lower_py.data()};
     args.upper = {ws->upper_offsets.data(), ws->upper_px.data(),
                   ws->upper_py.data()};
-    args.out = columns ? ws->line.data() : out->mutable_density_row(iy).raw();
+    args.out = map.mutable_density_row(iy).raw();
     ops->row_sweep(args, &ws->scratch);
-    if (columns) StoreColumn(ws->line, PixelX(iy.value()), out);
   }
-  return Status::OK();
-}
-
-Status ComputeDirectSweep(const KdvTask& task, const ComputeOptions& options,
-                          const SweepMethodLabels& labels, DensityMap* out) {
-  SLAM_RETURN_NOT_OK(ValidateTask(task));
-  SLAM_RETURN_NOT_OK(CheckKernelSupportedBySlam(task.kernel));
-  SLAM_ASSIGN_OR_RETURN(DensityMap map, DensityMap::Create(task.grid.width(),
-                                                           task.grid.height()));
-  SLAM_RETURN_NOT_OK(ComputeEndpointSweep(task, options, labels,
-                                          SweptLines::kRows,
-                                          {0, task.grid.height()}, &map));
   *out = std::move(map);
   return Status::OK();
 }

@@ -1,11 +1,14 @@
-// The shared line driver behind the four SLAM methods (DESIGN.md §12).
-// Since the pixel-binned counting sort replaced SLAM_SORT's per-row
-// comparison sort, SLAM_SORT and SLAM_BUCKET run the identical five
-// dispatched passes (simd/sweep_ops.h) per swept line, and RAO (paper
-// Section 3.6) only picks the axis the lines run along. What differs is
-// each family's public names — checkpoint sites, budget-charge tags,
-// error messages — and, for RAO, whether a swept line is a row or a column
-// of the output.
+// The line loops behind the four SLAM methods (DESIGN.md §12).
+// SLAM_SORT and SLAM_BUCKET run the same dispatched passes
+// (simd/sweep_ops.h) per swept line, and RAO (paper Section 3.6) only
+// picks the axis the lines run along. The engine's loop slices each
+// line's envelope out of its y-sorted copy and keeps per-pixel bucket sums
+// (bound_intervals → bucket_indices → bucket_sweep); the direct entry keeps
+// Lemma 1's scan and the counting sort (envelope_filter → bound_intervals
+// → bucket_indices → histogram_scatter → row_sweep). What differs between
+// the families is each one's public names — checkpoint sites, budget-charge
+// tags, error messages — and, for RAO, whether a swept line is a row or a
+// column of the output.
 #pragma once
 
 #include "kdv/density_map.h"
@@ -37,19 +40,20 @@ inline constexpr SweepMethodLabels kSlamBucketLabels = {
 /// swept line i is column i of an output shaped like the transposed grid.
 enum class SweptLines { kRows, kColumns };
 
-/// Runs the five passes over swept lines [rows.begin, rows.end) of `task`
-/// and writes them into `*out`, which the caller created in the output's
-/// shape (RowRange, kdv/task.h). Points sorted by y (ascending, by `<`),
-/// as ComputeKdv hands them to the SLAM methods, give each line its
-/// envelope as a run of the input (SortedEnvelopeCursor); any other order
-/// gets pass 1's scan of all points on every line.
+/// The engine's line loop: sweeps lines [rows.begin, rows.end) of `task` and
+/// writes them into `*out`, which the caller created in the output's shape
+/// (RowRange, kdv/task.h). `task.points` must be sorted by y (ascending, by
+/// `<`), as ComputeKdv's swept copy is: each line's envelope is then a run
+/// of them (SortedEnvelopeCursor), and bucket_sweep turns it into the
+/// line's densities. Every lane is sized and charged before the first line.
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                             const SweepMethodLabels& labels, SweptLines lines,
                             RowRange rows, DensityMap* out);
 
 /// A direct ComputeSlamSort / ComputeSlamBucket call, outside the engine:
 /// validates the task and the SLAM kernel rule, creates `*out` and sweeps
-/// every row of the points as given.
+/// every row of the points as given, in any order — Lemma 1's scan of all
+/// points per row, then the counting sort and the run sweep.
 Status ComputeDirectSweep(const KdvTask& task, const ComputeOptions& options,
                           const SweepMethodLabels& labels, DensityMap* out);
 

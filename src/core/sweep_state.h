@@ -16,22 +16,25 @@
 //    RangeAggregates / CompensatedRangeAggregates. Kept as the readable
 //    reference implementation and for the unit tests that pin the sweep
 //    semantics.
-//  * SoA lanes — the layout the row sweeps actually run on since the SIMD
+//  * SoA lanes — the layout the sweeps actually run on since the SIMD
 //    refactor (DESIGN.md §11): each aggregate channel is one slot of a
 //    contiguous, 32-byte-aligned array, with a parallel array of Neumaier
-//    compensation terms. A vector backend loads `kSweepLanes`-sized groups
-//    of channels into registers and keeps the entire running state
-//    register-resident across a row. Channel values and channel count per
-//    kernel are defined here so scalar and vector backends cannot drift.
+//    compensation terms. The direct entry's row sweep keeps the L/U
+//    state register-resident across a row in 4-channel registers; the
+//    engine's bucket sums (simd/sweep_ops.h, bucket_sweep) store one such
+//    sums-then-compensations group per pixel bucket. Channel values and
+//    channel count per kernel are defined here so scalar and vector
+//    backends cannot drift.
 //
-// Because set union is commutative and Add folds one endpoint at a time,
-// the aggregates depend only on the *set* of endpoints applied before each
-// pixel, never on the order within that per-pixel run — the
-// run-order-irrelevance invariant (DESIGN.md §12) that lets the sweep
-// methods feed the accumulators from a counting sort instead of a
-// comparison sort. (The compensated rounding *error* does depend on
-// fold order at the last-ulp level; the 1e-9 oracle bound is what the
-// methods promise, and it holds for any run order.)
+// Because addition is commutative, the aggregates of L \ U at a pixel
+// depend only on the *set* of endpoints applied before it — only each
+// pixel bucket's sum matters (DESIGN.md §12). The engine therefore adds
+// v(p) into its lower bucket, subtracts it from its upper bucket and keeps
+// one running sum of the buckets, never ordering an endpoint; the direct
+// entry feeds these accumulators per-pixel runs from a counting sort, in
+// any order within a run. (The compensated rounding *error* does depend
+// on the order of the adds at the last-ulp level; the 1e-9 oracle bound is
+// what the methods promise, and it holds for any order.)
 #pragma once
 
 #include <cstddef>

@@ -13,6 +13,7 @@
 #include "core/rao.h"
 #include "core/sweep_rows.h"
 #include "kdv/parallel.h"
+#include "simd/sweep_ops.h"
 #include "util/logging.h"
 #include "util/mutex.h"
 #include "util/narrow.h"
@@ -381,22 +382,24 @@ size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
     case Method::kSlamSortRao:
     case Method::kSlamBucket:
     case Method::kSlamBucketRao: {
-      // The engine's swept copy of the points (one Point each), then the
-      // shared counting-sort driver (core/sweep_rows.cc) on one
-      // SweepArena: SoA envelope + interval + scattered endpoint lanes (8
-      // doubles per point) + per-endpoint bucket indices (2 int32), plus
-      // bucket offset/cursor arrays and the per-pixel lanes (<= 12
-      // snapshot channels + qx, 13 doubles per pixel) spanning a swept
-      // line. The copy's sort buffer (one more Point each) is freed before
-      // the arena is charged, so the arena's per-point term covers it. RAO
-      // sweeps min(X, Y) lines of max(X, Y) pixels, so its per-pixel
-      // arrays span the longer axis; sweeping columns adds the line lane
-      // the column is stored from (one more double per pixel).
+      // The engine's swept copy of the points (one Point each), then one
+      // SweepArena (core/sweep_rows.cc): per point, the envelope and
+      // interval lanes (4 doubles) and the bucket indices (2 int32); per
+      // pixel of a swept line, X + 1 buckets of quartic's 24 doubles (12
+      // sums and 12 compensation terms, the widest bucket — the estimate
+      // takes no kernel) and qx. The copy's sort buffer (one more
+      // Point each) is freed before the arena is charged, so the arena's
+      // per-point term covers it. RAO sweeps min(X, Y) lines of max(X, Y)
+      // pixels, so its per-pixel lanes span the longer axis; sweeping
+      // columns adds the line lane the column is stored from (one more
+      // double per pixel).
       const bool columns = MethodIsRao(method) && height > width;
       const size_t x = static_cast<size_t>(columns ? height : width);
-      const size_t pixel_doubles = columns ? 14 : 13;
-      return n * (point_bytes + sizeof(double) * 8 + sizeof(int32_t) * 2) +
-             (x + 2) * sizeof(int32_t) * 4 + x * sizeof(double) * pixel_doubles;
+      const size_t pixel_doubles = columns ? 2 : 1;
+      return n * (point_bytes + sizeof(double) * 4 + sizeof(int32_t) * 2) +
+             ((x + 1) * BucketStride(KernelType::kQuartic) +
+              x * pixel_doubles) *
+                 sizeof(double);
     }
   }
   return 0;

@@ -1,46 +1,48 @@
 // The per-line sweep primitives behind the four SLAM methods, as a table
 // of function pointers selected once per compute call (dispatch.h).
 //
-// A row sweep decomposes into five data-parallel passes:
+// The engine's path (ComputeEndpointSweep, core/sweep_rows.h) slices each
+// line's envelope out of a y-sorted copy and runs three passes on it:
+//   - bound_intervals — per envelope point, the sweep interval
+//     [p.x − √(b² − dy²), p.x + √(b² − dy²)] (paper Eqs. 8–9) into
+//     contiguous lb[]/ub[] lanes.
+//   - bucket_indices — per interval endpoint, the pixel bucket it lands in
+//     (paper Eqs. 19–20).
+//   - bucket_sweep — Algorithm 2 on bucket sums: add each point's channel
+//     vector v(p) to its lower bucket and subtract it from its upper one,
+//     run one compensated sum over the buckets, and evaluate the kernel's
+//     closed-form polynomial at each pixel. Only each bucket's sum
+//     matters, so no endpoint is ever put in order.
+//
+// The direct ComputeSlamSort / ComputeSlamBucket entry (ComputeDirectSweep)
+// keeps Lemma 1's scan and the counting sort, five passes per row:
 //   1. envelope_filter — E(k) membership test over all points, emitting the
-//      survivors as SoA coordinate lanes (x[], y[]). Points sorted by y
-//      skip it: their envelope is a run of the input (core/sweep_rows.cc).
-//   2. bound_intervals — per envelope point, the sweep interval
-//      [p.x − √(b² − dy²), p.x + √(b² − dy²)] (paper Eqs. 8–9) into
-//      contiguous lb[]/ub[] lanes.
-//   3. bucket_indices — per interval endpoint, the pixel bucket it lands in
-//      (paper Eqs. 19–20).
+//      survivors as SoA coordinate lanes (x[], y[]).
+//   2. bound_intervals, 3. bucket_indices — as above.
 //   4. histogram_scatter — the pixel-binned counting sort: per-bucket
 //      histograms of the endpoint bins, prefix-summed into per-pixel run
 //      offsets, and the endpoint coordinates scattered (stably, in input
 //      order) into row-local SoA lanes.
-//   5. row_sweep — the sweep itself: fold each pixel's endpoint runs into
-//      the L/U SoA accumulators (core/sweep_state.h) and evaluate the
-//      kernel's closed-form polynomial at the pixel.
+//   5. row_sweep — fold each pixel's endpoint runs into the L/U SoA
+//      accumulators (core/sweep_state.h) and evaluate the polynomial.
+// Per-pixel runs need no internal order (DESIGN.md §12), so the counting
+// sort gives the run sets SLAM_SORT's sort-then-merge gave, in O(m + X).
 //
-// Both sweep methods feed row_sweep the same run-list shape: per pixel i,
-// the endpoints in [offsets[i], offsets[i+1]) are applied before pixel i is
-// evaluated, and both now produce it with the same counting sort (passes
-// 3 + 4): SLAM_SORT's per-row comparison sort is gone — per-pixel runs
-// need no internal order (DESIGN.md §12), so an O(m + X) counting sort
-// keyed on the pixel bin produces the identical run *sets* the old
-// sort-then-merge produced in O(m log m). That is what lets all four SLAM
-// methods share one dispatched kernel: RAO only decides whether the swept
-// lines are rows or columns of the output (core/sweep_rows.h).
-//
-// The scalar backend is the reference: it mirrors the pre-SoA sweep
-// arithmetic operation for operation. Vector backends replay the identical
-// operation sequence in lanes — no FMA contraction, Knuth two-sum in place
-// of the branched Neumaier step (both produce the exact rounding error of
-// the addition, so they are interchangeable bit for bit) — and are held to
-// the scalar path and the long-double oracle at 1e-9 by
-// tests/simd/simd_equivalence_test.cc and fuzz/target_differential.cc.
+// The scalar backend is the reference: it mirrors the sweep arithmetic of
+// core/sweep_state.h operation for operation. Vector backends replay the
+// identical operation sequence in lanes — no FMA contraction, Knuth
+// two-sum in place of the branched Neumaier step (both produce the exact
+// rounding error of the addition, so they are interchangeable bit for
+// bit) — and are held to the scalar path and the long-double oracle at
+// 1e-9 by tests/simd/simd_equivalence_test.cc,
+// tests/simd/bucket_sweep_test.cc and fuzz/target_differential.cc.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/sweep_state.h"
 #include "geom/point.h"
 #include "kdv/grid.h"
 #include "kdv/kernel.h"
@@ -104,6 +106,49 @@ struct HistogramScatterArgs {
   double* upper_py = nullptr;
 };
 
+/// Channels of one bucket_sweep bucket: SweepChannels(kernel) rounded up to
+/// whole 4-double registers, except uniform's single exact count.
+inline int BucketChannels(KernelType kernel) {
+  const int channels = SweepChannels(kernel);
+  return channels <= 1 ? channels : (channels + 3) / 4 * 4;
+}
+
+/// Doubles per bucket: BucketChannels sums, then as many compensation
+/// terms — 2 (uniform), 8 (Epanechnikov: one 64-byte line), 24 (quartic).
+inline size_t BucketStride(KernelType kernel) {
+  return 2 * static_cast<size_t>(BucketChannels(kernel));
+}
+
+/// Inputs of the engine's bucket pass, which replaces histogram_scatter +
+/// row_sweep on the engine path. Bucket b of `buckets` sits at
+/// buckets + b × BucketStride(kernel); buckets 0..width − 1 are the pixel
+/// gaps of Eqs. 19–20 and bucket `width` parks the endpoints past the last
+/// pixel. Every backend zeroes the width + 1 buckets, adds v(p)
+/// (SweepChannelValues, row-local: p − origin) to bucket lower_idx[i] and
+/// subtracts it from bucket upper_idx[i] for i in [0, n) in order, lower
+/// first, then sums buckets 0..width − 1 left to right and evaluates pixel
+/// i on the running sum. With `compensated`, both levels — each bucket's
+/// sum and the running sum — are Neumaier sums, and the running sum folds
+/// each bucket's compensation term into its own.
+struct BucketSweepArgs {
+  KernelType kernel = KernelType::kEpanechnikov;
+  bool compensated = true;
+  int width = 0;
+  double bandwidth = 1.0;
+  double weight = 1.0;
+  double qy = 0.0;
+  const double* qx = nullptr;  // row-local, length `width`
+  size_t n = 0;                // envelope points
+  const double* ex = nullptr;  // global coordinates, length n
+  const double* ey = nullptr;
+  double origin_x = 0.0;  // row-local frame origin (RowLocalOrigin)
+  double origin_y = 0.0;
+  const int32_t* lower_idx = nullptr;  // buckets in [0, width], length n
+  const int32_t* upper_idx = nullptr;
+  double* buckets = nullptr;  // (width + 1) × BucketStride, 32-byte aligned
+  double* out = nullptr;      // densities, length `width`
+};
+
 /// Reusable scratch for the two-pass vector backends (pass 1 snapshots the
 /// per-pixel aggregate differences into interleaved lanes, pass 2 evaluates
 /// the polynomial across pixels). The scalar backend never touches it.
@@ -114,8 +159,8 @@ struct RowSweepScratch {
   size_t HeapBytes() const { return lanes.capacity() * sizeof(double); }
 };
 
-/// One backend's implementations of the four row passes. The function
-/// pointers are never null in a table returned by GetSimdOps.
+/// One backend's implementations of the line passes. The function pointers
+/// are never null in a table returned by GetSimdOps.
 struct SimdOps {
   SimdLevel level = SimdLevel::kScalar;
 
@@ -153,6 +198,9 @@ struct SimdOps {
   /// The row sweep proper; see RowSweepArgs.
   void (*row_sweep)(const RowSweepArgs& args,
                     RowSweepScratch* scratch) = nullptr;
+
+  /// The engine's bucket sums and pixel evaluation; see BucketSweepArgs.
+  void (*bucket_sweep)(const BucketSweepArgs& args) = nullptr;
 };
 
 /// Backend tables. The vector getters return nullptr when the backend is

@@ -18,20 +18,23 @@
 //  * clamps are written max(x, 0) (second operand returned on equality) so
 //    ±0 results keep the scalar sign.
 //
-// Layout: pass 1 walks the endpoint runs keeping the entire L/U SoA state
-// (core/sweep_state.h channel order) in registers — one __m256d per 4
-// channels, 4 (Epanechnikov) or 12 (quartic) registers total — and
-// snapshots the per-pixel channel differences into interleaved scratch
-// lanes. Pass 2 re-reads the snapshots 4 pixels at a time, transposes
-// 4×4, and evaluates the closed-form polynomial across pixels. The uniform
-// kernel needs no per-endpoint arithmetic at all: its count equals the
-// difference of the run offsets, evaluated 4 pixels per op.
+// Layout: row_sweep's pass 1 walks the endpoint runs keeping the entire
+// L/U SoA state (core/sweep_state.h channel order) in registers — one
+// __m256d per 4 channels, 4 (Epanechnikov) or 12 (quartic) registers total
+// — and snapshots the per-pixel channel differences into interleaved
+// scratch lanes. bucket_sweep leaves them in its bucket lane instead. Both
+// then share one evaluation that reads 4 pixels through a stride,
+// transposes 4×4, and evaluates the closed-form polynomial across pixels.
+// The uniform kernel needs no per-endpoint arithmetic at all: its count is
+// the difference of the run offsets, or a running sum of exact bucket
+// counts.
 #include "simd/sweep_ops.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "simd/sweep_ops_inline.h"
@@ -101,6 +104,8 @@ alignas(32) constexpr int32_t kCompressLut[16][8] = {
 size_t EnvelopeFilter(std::span<const Point> points, double k,
                       double bandwidth, double* ex, double* ey) {
   const size_t n = points.size();
+  // An empty span may have no array behind it to point into.
+  if (n == 0) return 0;
   const double* base = &points.data()->x;  // Point is two packed doubles
   const __m256d kv = _mm256_set1_pd(k);
   const __m256d bv = _mm256_set1_pd(bandwidth);
@@ -254,6 +259,140 @@ void HistogramScatter(const HistogramScatterArgs& a) {
 }
 
 // ---------------------------------------------------------------------------
+// Pixel evaluation, shared by row_sweep and bucket_sweep
+// ---------------------------------------------------------------------------
+
+/// What the closed-form evaluation reads besides the channel differences:
+/// the fields RowSweepArgs and BucketSweepArgs share.
+struct PixelLine {
+  KernelType kernel;
+  int width;
+  double bandwidth;
+  double weight;
+  double qy;
+  const double* qx;
+  double* out;
+};
+
+template <typename Args>
+PixelLine LineOf(const Args& a) {
+  return {a.kernel, a.width, a.bandwidth, a.weight, a.qy, a.qx, a.out};
+}
+
+/// Scalar evaluation of pixel ix from its channel differences at `r` — the
+/// vector loops' tail.
+inline void EvaluatePixelScalar(const PixelLine& a, int ix, const double* r,
+                                int channels) {
+  double d[kSweepChannelsPadded] = {};
+  for (int ch = 0; ch < channels; ++ch) d[ch] = r[ch];
+  a.out[ix] =
+      DensityFromAggregates(a.kernel, Point{a.qx[ix], a.qy},
+                            AggregatesFromLanes(d), a.bandwidth, a.weight);
+}
+
+/// Epanechnikov (Eq. 5) at every pixel of the line. Pixel ix's 4 channel
+/// differences sit at lanes + ix × stride; 4 pixels per 4×4 transpose.
+void EvaluateEpan(const PixelLine& a, const double* lanes, size_t stride) {
+  const KernelEvalProfile prof = MakeKernelEvalProfile(a.bandwidth);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d qyv = _mm256_set1_pd(a.qy);
+  const __m256d wv = _mm256_set1_pd(a.weight);
+  const __m256d wob2 = _mm256_set1_pd(a.weight / prof.b2);
+  const __m256d two = _mm256_set1_pd(2.0);
+  int ix = 0;
+  for (; ix + 4 <= a.width; ix += 4) {
+    const double* r = lanes + static_cast<size_t>(ix) * stride;
+    __m256d cnt, ax, ay, sq;
+    Transpose4x4(_mm256_loadu_pd(r), _mm256_loadu_pd(r + stride),
+                 _mm256_loadu_pd(r + 2 * stride),
+                 _mm256_loadu_pd(r + 3 * stride), cnt, ax, ay, sq);
+    const __m256d qx = _mm256_loadu_pd(a.qx + ix);
+    // u = ||q||², dot = q·A, F = w|R| − (w/b²)(|R|u − 2 dot + S) (Eq. 5).
+    const __m256d u =
+        _mm256_add_pd(_mm256_mul_pd(qx, qx), _mm256_mul_pd(qyv, qyv));
+    const __m256d dot =
+        _mm256_add_pd(_mm256_mul_pd(qx, ax), _mm256_mul_pd(qyv, ay));
+    const __m256d inner = _mm256_add_pd(
+        _mm256_sub_pd(_mm256_mul_pd(cnt, u), _mm256_mul_pd(two, dot)), sq);
+    const __m256d f =
+        _mm256_sub_pd(_mm256_mul_pd(wv, cnt), _mm256_mul_pd(wob2, inner));
+    _mm256_storeu_pd(a.out + ix, _mm256_max_pd(f, zero));
+  }
+  for (; ix < a.width; ++ix) {
+    EvaluatePixelScalar(a, ix, lanes + static_cast<size_t>(ix) * stride, 4);
+  }
+}
+
+/// Quartic at every pixel of the line, from the 10 channel differences
+/// (padded to 12) at lanes + ix × stride.
+void EvaluateQuartic(const PixelLine& a, const double* lanes, size_t stride) {
+  const KernelEvalProfile prof = MakeKernelEvalProfile(a.bandwidth);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d qyv = _mm256_set1_pd(a.qy);
+  const __m256d wv = _mm256_set1_pd(a.weight);
+  const __m256d c1v = _mm256_set1_pd(2.0 / prof.b2);
+  const __m256d b4v = _mm256_set1_pd(prof.b2 * prof.b2);
+  const __m256d two = _mm256_set1_pd(2.0);
+  const __m256d four = _mm256_set1_pd(4.0);
+  int ix = 0;
+  for (; ix + 4 <= a.width; ix += 4) {
+    const double* r0 = lanes + static_cast<size_t>(ix) * stride;
+    const double* r1 = r0 + stride;
+    const double* r2 = r0 + 2 * stride;
+    const double* r3 = r0 + 3 * stride;
+    __m256d cnt, ax, ay, sq;
+    Transpose4x4(_mm256_loadu_pd(r0), _mm256_loadu_pd(r1),
+                 _mm256_loadu_pd(r2), _mm256_loadu_pd(r3), cnt, ax, ay, sq);
+    __m256d cx, cy, qd, mxx;
+    Transpose4x4(_mm256_loadu_pd(r0 + 4), _mm256_loadu_pd(r1 + 4),
+                 _mm256_loadu_pd(r2 + 4), _mm256_loadu_pd(r3 + 4), cx, cy,
+                 qd, mxx);
+    __m256d mxy, myy, pad0, pad1;
+    Transpose4x4(_mm256_loadu_pd(r0 + 8), _mm256_loadu_pd(r1 + 8),
+                 _mm256_loadu_pd(r2 + 8), _mm256_loadu_pd(r3 + 8), mxy, myy,
+                 pad0, pad1);
+    (void)pad0;
+    (void)pad1;
+    const __m256d qx = _mm256_loadu_pd(a.qx + ix);
+    const __m256d u =
+        _mm256_add_pd(_mm256_mul_pd(qx, qx), _mm256_mul_pd(qyv, qyv));
+    const __m256d dot =
+        _mm256_add_pd(_mm256_mul_pd(qx, ax), _mm256_mul_pd(qyv, ay));
+    // Σd² = |R|u − 2 qᵀA + S
+    const __m256d sum_d2 = _mm256_add_pd(
+        _mm256_sub_pd(_mm256_mul_pd(cnt, u), _mm256_mul_pd(two, dot)), sq);
+    // qᵀM q, evaluated exactly as the scalar form in kernel.cc.
+    const __m256d mt_x =
+        _mm256_add_pd(_mm256_mul_pd(mxx, qx), _mm256_mul_pd(mxy, qyv));
+    const __m256d mt_y =
+        _mm256_add_pd(_mm256_mul_pd(mxy, qx), _mm256_mul_pd(myy, qyv));
+    const __m256d qmq =
+        _mm256_add_pd(_mm256_mul_pd(qx, mt_x), _mm256_mul_pd(qyv, mt_y));
+    const __m256d dot_c =
+        _mm256_add_pd(_mm256_mul_pd(qx, cx), _mm256_mul_pd(qyv, cy));
+    // Σd⁴ = |R|u² + 4qᵀMq + Q − 4u qᵀA + 2u S − 4 qᵀC, in scalar order.
+    __m256d sum_d4 = _mm256_mul_pd(_mm256_mul_pd(cnt, u), u);
+    sum_d4 = _mm256_add_pd(sum_d4, _mm256_mul_pd(four, qmq));
+    sum_d4 = _mm256_add_pd(sum_d4, qd);
+    sum_d4 = _mm256_sub_pd(sum_d4,
+                           _mm256_mul_pd(_mm256_mul_pd(four, u), dot));
+    sum_d4 =
+        _mm256_add_pd(sum_d4, _mm256_mul_pd(_mm256_mul_pd(two, u), sq));
+    sum_d4 = _mm256_sub_pd(sum_d4, _mm256_mul_pd(four, dot_c));
+    // F = w (|R| − (2/b²) Σd² + Σd⁴/b⁴)
+    const __m256d inner =
+        _mm256_add_pd(_mm256_sub_pd(cnt, _mm256_mul_pd(c1v, sum_d2)),
+                      _mm256_div_pd(sum_d4, b4v));
+    _mm256_storeu_pd(a.out + ix,
+                     _mm256_max_pd(_mm256_mul_pd(wv, inner), zero));
+  }
+  for (; ix < a.width; ++ix) {
+    EvaluatePixelScalar(a, ix, lanes + static_cast<size_t>(ix) * stride,
+                        kSweepChannelCount);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // row_sweep
 // ---------------------------------------------------------------------------
 
@@ -312,39 +451,7 @@ void RowSweepEpan(const RowSweepArgs& a, RowSweepScratch* scratch) {
     }
     _mm256_storeu_pd(lanes + static_cast<size_t>(ix) * 4, d);
   }
-
-  const KernelEvalProfile prof = MakeKernelEvalProfile(a.bandwidth);
-  const __m256d qyv = _mm256_set1_pd(a.qy);
-  const __m256d wv = _mm256_set1_pd(a.weight);
-  const __m256d wob2 = _mm256_set1_pd(a.weight / prof.b2);
-  const __m256d two = _mm256_set1_pd(2.0);
-  int ix = 0;
-  for (; ix + 4 <= a.width; ix += 4) {
-    const double* r = lanes + static_cast<size_t>(ix) * 4;
-    __m256d cnt, ax, ay, sq;
-    Transpose4x4(_mm256_loadu_pd(r), _mm256_loadu_pd(r + 4),
-                 _mm256_loadu_pd(r + 8), _mm256_loadu_pd(r + 12), cnt, ax,
-                 ay, sq);
-    const __m256d qx = _mm256_loadu_pd(a.qx + ix);
-    // u = ||q||², dot = q·A, F = w|R| − (w/b²)(|R|u − 2 dot + S) (Eq. 5).
-    const __m256d u =
-        _mm256_add_pd(_mm256_mul_pd(qx, qx), _mm256_mul_pd(qyv, qyv));
-    const __m256d dot =
-        _mm256_add_pd(_mm256_mul_pd(qx, ax), _mm256_mul_pd(qyv, ay));
-    const __m256d inner = _mm256_add_pd(
-        _mm256_sub_pd(_mm256_mul_pd(cnt, u), _mm256_mul_pd(two, dot)), sq);
-    const __m256d f =
-        _mm256_sub_pd(_mm256_mul_pd(wv, cnt), _mm256_mul_pd(wob2, inner));
-    _mm256_storeu_pd(a.out + ix, _mm256_max_pd(f, zero));
-  }
-  for (; ix < a.width; ++ix) {
-    double d[kSweepChannelsPadded] = {};
-    const double* r = lanes + static_cast<size_t>(ix) * 4;
-    for (int ch = 0; ch < 4; ++ch) d[ch] = r[ch];
-    a.out[ix] =
-        DensityFromAggregates(a.kernel, Point{a.qx[ix], a.qy},
-                              AggregatesFromLanes(d), a.bandwidth, a.weight);
-  }
+  EvaluateEpan(LineOf(a), lanes, 4);
 }
 
 /// Quartic: 10 live channels padded to 12 = three registers per component.
@@ -399,74 +506,7 @@ void RowSweepQuartic(const RowSweepArgs& a, RowSweepScratch* scratch) {
     _mm256_storeu_pd(row + 4, d1);
     _mm256_storeu_pd(row + 8, d2);
   }
-
-  const KernelEvalProfile prof = MakeKernelEvalProfile(a.bandwidth);
-  const __m256d qyv = _mm256_set1_pd(a.qy);
-  const __m256d wv = _mm256_set1_pd(a.weight);
-  const __m256d c1v = _mm256_set1_pd(2.0 / prof.b2);
-  const __m256d b4v = _mm256_set1_pd(prof.b2 * prof.b2);
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  int ix = 0;
-  for (; ix + 4 <= a.width; ix += 4) {
-    const double* r0 = lanes + static_cast<size_t>(ix) * 12;
-    const double* r1 = r0 + 12;
-    const double* r2 = r0 + 24;
-    const double* r3 = r0 + 36;
-    __m256d cnt, ax, ay, sq;
-    Transpose4x4(_mm256_loadu_pd(r0), _mm256_loadu_pd(r1),
-                 _mm256_loadu_pd(r2), _mm256_loadu_pd(r3), cnt, ax, ay, sq);
-    __m256d cx, cy, qd, mxx;
-    Transpose4x4(_mm256_loadu_pd(r0 + 4), _mm256_loadu_pd(r1 + 4),
-                 _mm256_loadu_pd(r2 + 4), _mm256_loadu_pd(r3 + 4), cx, cy,
-                 qd, mxx);
-    __m256d mxy, myy, pad0, pad1;
-    Transpose4x4(_mm256_loadu_pd(r0 + 8), _mm256_loadu_pd(r1 + 8),
-                 _mm256_loadu_pd(r2 + 8), _mm256_loadu_pd(r3 + 8), mxy, myy,
-                 pad0, pad1);
-    (void)pad0;
-    (void)pad1;
-    const __m256d qx = _mm256_loadu_pd(a.qx + ix);
-    const __m256d u =
-        _mm256_add_pd(_mm256_mul_pd(qx, qx), _mm256_mul_pd(qyv, qyv));
-    const __m256d dot =
-        _mm256_add_pd(_mm256_mul_pd(qx, ax), _mm256_mul_pd(qyv, ay));
-    // Σd² = |R|u − 2 qᵀA + S
-    const __m256d sum_d2 = _mm256_add_pd(
-        _mm256_sub_pd(_mm256_mul_pd(cnt, u), _mm256_mul_pd(two, dot)), sq);
-    // qᵀM q, evaluated exactly as the scalar form in kernel.cc.
-    const __m256d mt_x =
-        _mm256_add_pd(_mm256_mul_pd(mxx, qx), _mm256_mul_pd(mxy, qyv));
-    const __m256d mt_y =
-        _mm256_add_pd(_mm256_mul_pd(mxy, qx), _mm256_mul_pd(myy, qyv));
-    const __m256d qmq =
-        _mm256_add_pd(_mm256_mul_pd(qx, mt_x), _mm256_mul_pd(qyv, mt_y));
-    const __m256d dot_c =
-        _mm256_add_pd(_mm256_mul_pd(qx, cx), _mm256_mul_pd(qyv, cy));
-    // Σd⁴ = |R|u² + 4qᵀMq + Q − 4u qᵀA + 2u S − 4 qᵀC, in scalar order.
-    __m256d sum_d4 = _mm256_mul_pd(_mm256_mul_pd(cnt, u), u);
-    sum_d4 = _mm256_add_pd(sum_d4, _mm256_mul_pd(four, qmq));
-    sum_d4 = _mm256_add_pd(sum_d4, qd);
-    sum_d4 = _mm256_sub_pd(sum_d4,
-                           _mm256_mul_pd(_mm256_mul_pd(four, u), dot));
-    sum_d4 =
-        _mm256_add_pd(sum_d4, _mm256_mul_pd(_mm256_mul_pd(two, u), sq));
-    sum_d4 = _mm256_sub_pd(sum_d4, _mm256_mul_pd(four, dot_c));
-    // F = w (|R| − (2/b²) Σd² + Σd⁴/b⁴)
-    const __m256d inner =
-        _mm256_add_pd(_mm256_sub_pd(cnt, _mm256_mul_pd(c1v, sum_d2)),
-                      _mm256_div_pd(sum_d4, b4v));
-    _mm256_storeu_pd(a.out + ix,
-                     _mm256_max_pd(_mm256_mul_pd(wv, inner), zero));
-  }
-  for (; ix < a.width; ++ix) {
-    double d[kSweepChannelsPadded] = {};
-    const double* r = lanes + static_cast<size_t>(ix) * 12;
-    for (int ch = 0; ch < kSweepChannelCount; ++ch) d[ch] = r[ch];
-    a.out[ix] =
-        DensityFromAggregates(a.kernel, Point{a.qx[ix], a.qy},
-                              AggregatesFromLanes(d), a.bandwidth, a.weight);
-  }
+  EvaluateQuartic(LineOf(a), lanes, 12);
 }
 
 void RowSweep(const RowSweepArgs& a, RowSweepScratch* scratch) {
@@ -494,9 +534,212 @@ void RowSweep(const RowSweepArgs& a, RowSweepScratch* scratch) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// bucket_sweep
+// ---------------------------------------------------------------------------
+//
+// One bucket is BucketStride(kernel) doubles: the channel sums in whole
+// registers, then their compensation terms — one 64-byte line for
+// Epanechnikov, three registers of each for quartic. Channel vectors are
+// built 4 points at a time and transposed to one register per point; each
+// point then takes one two-sum per register into its lower bucket and one,
+// negated, into its upper bucket, in slice order, so each channel sees the
+// scalar reference's sequence of adds. The running sum writes each pixel's
+// differences over its own bucket's sums, where the shared evaluation reads
+// them through the bucket stride.
+
+/// Folds v into the sums at `bucket` and, compensated, the compensation
+/// terms `comp` doubles later — NeumaierAdd's arithmetic, per channel.
+template <bool kCompensated>
+inline void BucketAdd(double* bucket, size_t comp, __m256d v) {
+  __m256d sum = _mm256_loadu_pd(bucket);
+  if constexpr (kCompensated) {
+    __m256d c = _mm256_loadu_pd(bucket + comp);
+    TwoSumAccumulate(sum, c, v);
+    _mm256_storeu_pd(bucket + comp, c);
+  } else {
+    sum = _mm256_add_pd(sum, v);
+  }
+  _mm256_storeu_pd(bucket, sum);
+}
+
+/// The running sum over buckets 0..width − 1, kRegisters 4-channel groups
+/// per bucket: pixel ix's channel differences overwrite bucket ix's sums.
+template <bool kCompensated, int kRegisters>
+void RunningSum(const BucketSweepArgs& a) {
+  constexpr size_t kComp = 4 * kRegisters;
+  constexpr size_t kStride = 2 * kComp;
+  __m256d run[kRegisters];
+  __m256d run_comp[kRegisters];
+  for (int r = 0; r < kRegisters; ++r) {
+    run[r] = _mm256_setzero_pd();
+    run_comp[r] = _mm256_setzero_pd();
+  }
+  for (int ix = 0; ix < a.width; ++ix) {
+    double* bucket = a.buckets + static_cast<size_t>(ix) * kStride;
+    for (int r = 0; r < kRegisters; ++r) {
+      double* lane = bucket + 4 * r;
+      if constexpr (kCompensated) {
+        TwoSumAccumulate(run[r], run_comp[r], _mm256_loadu_pd(lane));
+        run_comp[r] =
+            _mm256_add_pd(run_comp[r], _mm256_loadu_pd(lane + kComp));
+        _mm256_storeu_pd(lane, _mm256_add_pd(run[r], run_comp[r]));
+      } else {
+        run[r] = _mm256_add_pd(run[r], _mm256_loadu_pd(lane));
+        _mm256_storeu_pd(lane, run[r]);
+      }
+    }
+  }
+}
+
+void ZeroBuckets(const BucketSweepArgs& a) {
+  std::fill(a.buckets,
+            a.buckets + (static_cast<size_t>(a.width) + 1) *
+                            BucketStride(a.kernel),
+            0.0);
+}
+
+/// Uniform kernel: each bucket's count is an exact integer, so both
+/// summation modes are plain adds and every backend agrees bit for bit.
+void BucketSweepUniform(const BucketSweepArgs& a) {
+  constexpr size_t kStride = 2;  // BucketStride(kUniform)
+  ZeroBuckets(a);
+  for (size_t i = 0; i < a.n; ++i) {
+    a.buckets[static_cast<size_t>(a.lower_idx[i]) * kStride] += 1.0;
+    a.buckets[static_cast<size_t>(a.upper_idx[i]) * kStride] -= 1.0;
+  }
+  const double wob = a.weight / MakeKernelEvalProfile(a.bandwidth).bandwidth;
+  double count = 0.0;
+  for (int ix = 0; ix < a.width; ++ix) {
+    count += a.buckets[static_cast<size_t>(ix) * kStride];
+    a.out[ix] = wob * count;
+  }
+}
+
+template <bool kCompensated>
+void BucketSweepEpan(const BucketSweepArgs& a) {
+  constexpr size_t kStride = 8;  // BucketStride(kEpanechnikov)
+  ZeroBuckets(a);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const auto scatter = [&](size_t i, __m256d v) {
+    BucketAdd<kCompensated>(
+        a.buckets + static_cast<size_t>(a.lower_idx[i]) * kStride, 4, v);
+    BucketAdd<kCompensated>(
+        a.buckets + static_cast<size_t>(a.upper_idx[i]) * kStride, 4,
+        _mm256_xor_pd(v, sign));
+  };
+  const __m256d ox = _mm256_set1_pd(a.origin_x);
+  const __m256d oy = _mm256_set1_pd(a.origin_y);
+  const __m256d one = _mm256_set1_pd(1.0);
+  size_t i = 0;
+  for (; i + 4 <= a.n; i += 4) {
+    const __m256d px = _mm256_sub_pd(_mm256_loadu_pd(a.ex + i), ox);
+    const __m256d py = _mm256_sub_pd(_mm256_loadu_pd(a.ey + i), oy);
+    const __m256d s =
+        _mm256_add_pd(_mm256_mul_pd(px, px), _mm256_mul_pd(py, py));
+    // Channel order (core/sweep_state.h): count Ax Ay S.
+    __m256d v0, v1, v2, v3;
+    Transpose4x4(one, px, py, s, v0, v1, v2, v3);
+    scatter(i, v0);
+    scatter(i + 1, v1);
+    scatter(i + 2, v2);
+    scatter(i + 3, v3);
+  }
+  for (; i < a.n; ++i) {
+    const double px = a.ex[i] - a.origin_x;
+    const double py = a.ey[i] - a.origin_y;
+    scatter(i, _mm256_set_pd(px * px + py * py, py, px, 1.0));
+  }
+  RunningSum<kCompensated, 1>(a);
+  EvaluateEpan(LineOf(a), a.buckets, kStride);
+}
+
+template <bool kCompensated>
+void BucketSweepQuartic(const BucketSweepArgs& a) {
+  constexpr size_t kStride = 24;  // BucketStride(kQuartic)
+  constexpr size_t kComp = 12;
+  ZeroBuckets(a);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const auto scatter = [&](size_t i, __m256d v0, __m256d v1, __m256d v2) {
+    double* lower = a.buckets + static_cast<size_t>(a.lower_idx[i]) * kStride;
+    BucketAdd<kCompensated>(lower, kComp, v0);
+    BucketAdd<kCompensated>(lower + 4, kComp, v1);
+    BucketAdd<kCompensated>(lower + 8, kComp, v2);
+    double* upper = a.buckets + static_cast<size_t>(a.upper_idx[i]) * kStride;
+    BucketAdd<kCompensated>(upper, kComp, _mm256_xor_pd(v0, sign));
+    BucketAdd<kCompensated>(upper + 4, kComp, _mm256_xor_pd(v1, sign));
+    BucketAdd<kCompensated>(upper + 8, kComp, _mm256_xor_pd(v2, sign));
+  };
+  const __m256d ox = _mm256_set1_pd(a.origin_x);
+  const __m256d oy = _mm256_set1_pd(a.origin_y);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 4 <= a.n; i += 4) {
+    const __m256d px = _mm256_sub_pd(_mm256_loadu_pd(a.ex + i), ox);
+    const __m256d py = _mm256_sub_pd(_mm256_loadu_pd(a.ey + i), oy);
+    const __m256d s =
+        _mm256_add_pd(_mm256_mul_pd(px, px), _mm256_mul_pd(py, py));
+    // Channel order (core/sweep_state.h): count Ax Ay S | Cx Cy Q Mxx |
+    // Mxy Myy 0 0 — same expressions as SweepChannelValues.
+    __m256d a0, a1, a2, a3;
+    Transpose4x4(one, px, py, s, a0, a1, a2, a3);
+    __m256d b0, b1, b2, b3;
+    Transpose4x4(_mm256_mul_pd(px, s), _mm256_mul_pd(py, s),
+                 _mm256_mul_pd(s, s), _mm256_mul_pd(px, px), b0, b1, b2, b3);
+    __m256d c0, c1, c2, c3;
+    Transpose4x4(_mm256_mul_pd(px, py), _mm256_mul_pd(py, py), zero, zero, c0,
+                 c1, c2, c3);
+    scatter(i, a0, b0, c0);
+    scatter(i + 1, a1, b1, c1);
+    scatter(i + 2, a2, b2, c2);
+    scatter(i + 3, a3, b3, c3);
+  }
+  for (; i < a.n; ++i) {
+    const double px = a.ex[i] - a.origin_x;
+    const double py = a.ey[i] - a.origin_y;
+    const double s = px * px + py * py;
+    scatter(i, _mm256_set_pd(s, py, px, 1.0),
+            _mm256_set_pd(px * px, s * s, py * s, px * s),
+            _mm256_set_pd(0.0, 0.0, py * py, px * py));
+  }
+  RunningSum<kCompensated, 3>(a);
+  EvaluateQuartic(LineOf(a), a.buckets, kStride);
+}
+
+void BucketSweep(const BucketSweepArgs& a) {
+  switch (SweepChannels(a.kernel)) {
+    case 1:
+      BucketSweepUniform(a);
+      return;
+    case 4:
+      if (a.compensated) {
+        BucketSweepEpan<true>(a);
+      } else {
+        BucketSweepEpan<false>(a);
+      }
+      return;
+    case kSweepChannelCount:
+      if (a.compensated) {
+        BucketSweepQuartic<true>(a);
+      } else {
+        BucketSweepQuartic<false>(a);
+      }
+      return;
+    default:
+      simd_internal::BucketSweepScalar(a);  // unreachable (Gaussian)
+      return;
+  }
+}
+
 constexpr SimdOps kAvx2Ops = {
-    SimdLevel::kAvx2, &EnvelopeFilter,   &BoundIntervals,
-    &BucketIndices,   &HistogramScatter, &RowSweep,
+    SimdLevel::kAvx2,
+    &EnvelopeFilter,
+    &BoundIntervals,
+    &BucketIndices,
+    &HistogramScatter,
+    &RowSweep,
+    &BucketSweep,
 };
 
 }  // namespace

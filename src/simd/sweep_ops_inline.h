@@ -1,5 +1,5 @@
-// Internal to src/simd/: the scalar reference implementations of the four
-// row passes, shared between the scalar backend (which uses them whole) and
+// Internal to src/simd/: the scalar reference implementations of the line
+// passes, shared between the scalar backend (which uses them whole) and
 // the vector backends (which use them for remainder tails and rare slow
 // paths). Header-only so each backend translation unit compiles them with
 // its own (contraction-free) flag set.
@@ -147,6 +147,65 @@ inline void RowSweepScalar(const RowSweepArgs& a, RowSweepScratch* /*s*/) {
     RowSweepScalarImpl<true>(a);
   } else {
     RowSweepScalarImpl<false>(a);
+  }
+}
+
+/// The reference bucket pass (BucketSweepArgs): per channel, one
+/// NeumaierAdd per endpoint — each point's lower endpoint, then its upper,
+/// points in slice order — then one running Neumaier sum over the pixel
+/// buckets that folds in each bucket's compensation term, evaluated at each
+/// pixel. The count channel adds plainly at both levels, as in
+/// SoaAccumulator::Add: its sums are exact integers, so its compensation
+/// terms stay +0. The uncompensated form adds plainly everywhere.
+template <bool kCompensated>
+void BucketSweepScalarImpl(const BucketSweepArgs& a) {
+  const int channels = SweepChannels(a.kernel);
+  const size_t stride = BucketStride(a.kernel);
+  // A bucket's compensation terms follow its sums.
+  const auto comp = static_cast<size_t>(BucketChannels(a.kernel));
+  std::fill(a.buckets,
+            a.buckets + (static_cast<size_t>(a.width) + 1) * stride, 0.0);
+  const auto add = [&](double* bucket, double value, int ch) {
+    if (kCompensated && ch != kChCount) {
+      NeumaierAdd(bucket[ch], bucket[comp + static_cast<size_t>(ch)], value);
+    } else {
+      bucket[ch] += value;
+    }
+  };
+  double v[kSweepChannelsPadded];
+  for (size_t i = 0; i < a.n; ++i) {
+    SweepChannelValues(a.ex[i] - a.origin_x, a.ey[i] - a.origin_y, v);
+    double* lower = a.buckets + static_cast<size_t>(a.lower_idx[i]) * stride;
+    double* upper = a.buckets + static_cast<size_t>(a.upper_idx[i]) * stride;
+    for (int ch = 0; ch < channels; ++ch) add(lower, v[ch], ch);
+    for (int ch = 0; ch < channels; ++ch) add(upper, -v[ch], ch);
+  }
+  double run[kSweepChannelsPadded] = {};
+  double run_comp[kSweepChannelsPadded] = {};
+  double d[kSweepChannelsPadded] = {};
+  for (int ix = 0; ix < a.width; ++ix) {
+    const double* bucket = a.buckets + static_cast<size_t>(ix) * stride;
+    for (int ch = 0; ch < channels; ++ch) {
+      if (kCompensated && ch != kChCount) {
+        NeumaierAdd(run[ch], run_comp[ch], bucket[ch]);
+        run_comp[ch] += bucket[comp + static_cast<size_t>(ch)];
+        d[ch] = run[ch] + run_comp[ch];
+      } else {
+        run[ch] += bucket[ch];
+        d[ch] = run[ch];
+      }
+    }
+    a.out[ix] =
+        DensityFromAggregates(a.kernel, Point{a.qx[ix], a.qy},
+                              AggregatesFromLanes(d), a.bandwidth, a.weight);
+  }
+}
+
+inline void BucketSweepScalar(const BucketSweepArgs& a) {
+  if (a.compensated) {
+    BucketSweepScalarImpl<true>(a);
+  } else {
+    BucketSweepScalarImpl<false>(a);
   }
 }
 

@@ -334,9 +334,16 @@ void RowSweep(const RowSweepArgs& a, RowSweepScratch* scratch) {
   }
 }
 
+// bucket_sweep runs the scalar reference until a NEON form can be measured
+// on AArch64 hardware.
 constexpr SimdOps kNeonOps = {
-    SimdLevel::kNeon, &EnvelopeFilter,   &BoundIntervals,
-    &BucketIndices,   &HistogramScatter, &RowSweep,
+    SimdLevel::kNeon,
+    &EnvelopeFilter,
+    &BoundIntervals,
+    &BucketIndices,
+    &HistogramScatter,
+    &RowSweep,
+    &simd_internal::BucketSweepScalar,
 };
 
 }  // namespace

@@ -38,6 +38,7 @@ constexpr SimdOps kScalarOps = {
     &BucketIndices,
     &HistogramScatter,
     &simd_internal::RowSweepScalar,
+    &simd_internal::BucketSweepScalar,
 };
 
 }  // namespace

@@ -72,11 +72,13 @@ TEST(SlamBucketTest, IncrementalEnvelopeGivesSameResult) {
 }
 
 TEST(SlamBucketTest, SortedPointsSliceTheScansEnvelopesBitForBit) {
-  // On y-sorted points each row's envelope is a slice of the input. One
-  // extra point beyond every row's reach leaves the envelopes as they are
-  // but unsorts the input, so those rows rescan all points instead — and
-  // the scan emits the slice's points in the slice's order, so the rasters
-  // agree bit for bit.
+  // A direct call scans all points on every row, sorted or not, so this
+  // compares two scans: one of y-sorted points, and one of the same points
+  // behind an extra point beyond every row's reach. The extra point leaves
+  // each row's envelope, and the order the scan emits it in, as it is, so
+  // the rasters agree bit for bit. That the engine's slice of a sorted copy
+  // holds the scan's points in the scan's order is checked by
+  // SortedEnvelopeCursorTest.MatchesFindEnvelopeAtEveryRow.
   std::vector<Point> sorted = ClusteredPoints(800, 60.0, 4, 277);
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const Point& a, const Point& b) { return a.y < b.y; });

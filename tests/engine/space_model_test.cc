@@ -53,6 +53,34 @@ TEST(SpaceModelTest, CoversWhatASlamComputeCharges) {
   // sliver of the points per line and one that keeps all of them on every
   // line.
   const double extent = 100.0;
+  const auto expect_covered = [](const KdvTask& task) {
+    for (const Method method : AllMethods()) {
+      if (!MethodIsSlam(method)) continue;
+      SCOPED_TRACE(std::string(MethodName(method)) + " n=" +
+                   std::to_string(task.points.size()) + " " +
+                   std::to_string(task.grid.width()) + "x" +
+                   std::to_string(task.grid.height()) + " b=" +
+                   std::to_string(task.bandwidth) + " " +
+                   std::string(KernelTypeName(task.kernel)) +
+                   (TaskFarFromOrigin(task) ? " recentered" : ""));
+      // The estimate prices one compute's own footprint; capacity
+      // earlier computes left in the thread's sweep arena is a
+      // thread cache (core/sweep_arena.h), so start without it.
+      ThreadSweepArenaForTest().Release();
+      MemoryBudget budget(size_t{1} << 30);
+      ExecContext exec;
+      exec.set_memory_budget(&budget);
+      EngineOptions options;
+      options.compute.exec = &exec;
+      const auto map = ComputeKdv(task, method, options);
+      ASSERT_TRUE(map.ok()) << map.status().ToString();
+      EXPECT_GT(budget.peak_bytes(), 0u);
+      EXPECT_LE(budget.peak_bytes(),
+                EstimateAuxiliarySpaceBytes(method, task.points.size(),
+                                            task.grid.width(),
+                                            task.grid.height()));
+    }
+  };
   const std::vector<Point> near = RandomPoints(2000, extent, /*seed=*/0x5A);
   std::vector<Point> far = near;
   for (Point& p : far) {
@@ -72,29 +100,26 @@ TEST(SpaceModelTest, CoversWhatASlamComputeCharges) {
           task.grid = MakeGrid(width, height, extent);
           if (recentered) task.grid = task.grid.Translated(-1e7, -1e7);
           ASSERT_EQ(TaskFarFromOrigin(task), recentered);
-          for (const Method method : AllMethods()) {
-            if (!MethodIsSlam(method)) continue;
-            SCOPED_TRACE(std::string(MethodName(method)) + " " +
-                         std::to_string(width) + "x" +
-                         std::to_string(height) + " b=" +
-                         std::to_string(bandwidth) +
-                         (recentered ? " recentered" : ""));
-            // The estimate prices one compute's own footprint; capacity
-            // earlier computes left in the thread's sweep arena is a
-            // thread cache (core/sweep_arena.h), so start without it.
-            ThreadSweepArenaForTest().Release();
-            MemoryBudget budget(size_t{1} << 30);
-            ExecContext exec;
-            exec.set_memory_budget(&budget);
-            EngineOptions options;
-            options.compute.exec = &exec;
-            const auto map = ComputeKdv(task, method, options);
-            ASSERT_TRUE(map.ok()) << map.status().ToString();
-            EXPECT_GT(budget.peak_bytes(), 0u);
-            EXPECT_LE(budget.peak_bytes(),
-                      EstimateAuxiliarySpaceBytes(method, task.points.size(),
-                                                  width, height));
-          }
+          expect_covered(task);
+        }
+      }
+    }
+  }
+  // Few points on long lines: the per-pixel lanes dominate the charge, and
+  // quartic's buckets are the widest.
+  for (const size_t n : {size_t{10}, size_t{200}}) {
+    const std::vector<Point> few = RandomPoints(n, extent, /*seed=*/0x7C);
+    for (const int length : {1024, 4096}) {
+      for (const auto& [width, height] :
+           {std::pair{length, 8}, std::pair{8, length}}) {
+        for (const double bandwidth : {4.0, 250.0}) {
+          KdvTask task;
+          task.points = few;
+          task.kernel = KernelType::kQuartic;
+          task.bandwidth = bandwidth;
+          task.weight = 1.0 / static_cast<double>(n);
+          task.grid = MakeGrid(width, height, extent);
+          expect_covered(task);
         }
       }
     }

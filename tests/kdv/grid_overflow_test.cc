@@ -78,8 +78,8 @@ TEST(GridOverflowTest, SpaceModelDoesNotWrapAtIntMaxAxes) {
     EXPECT_GE(bytes, EstimateAuxiliarySpaceBytes(method, n, 64, 64))
         << "method " << static_cast<int>(method);
   }
-  // SLAM_BUCKET's offset arrays scale with X: at X = INT_MAX they alone
-  // are >= (2^31 + 1) * 2 * 4 bytes ~ 16 GiB. The estimate must reflect
+  // SLAM_BUCKET's bucket lane scales with X: at X = INT_MAX it alone is
+  // >= (2^31 + 1) * 24 * 8 bytes ~ 384 GiB. The estimate must reflect
   // that, not a wrapped 32-bit remainder.
   const size_t bucket_bytes =
       EstimateAuxiliarySpaceBytes(Method::kSlamBucket, n, INT_MAX, 64);

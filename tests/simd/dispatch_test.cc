@@ -78,9 +78,25 @@ TEST(SimdOpsTest, TablesAreCompleteForAvailableLevels) {
     EXPECT_NE((*ops)->bound_intervals, nullptr);
     EXPECT_NE((*ops)->bucket_indices, nullptr);
     EXPECT_NE((*ops)->row_sweep, nullptr);
+    EXPECT_NE((*ops)->bucket_sweep, nullptr);
     if (level != SimdLevel::kAuto) {
       EXPECT_EQ((*ops)->level, level);
     }
+  }
+}
+
+TEST(SimdOpsTest, EnvelopeFilterAcceptsAnEmptySpan) {
+  // A direct compute on no points scans an empty span, which may have no
+  // array behind it: no backend may form a pointer into it.
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
+    if (!SimdLevelAvailable(level)) continue;
+    const auto ops = GetSimdOps(level);
+    ASSERT_TRUE(ops.ok()) << SimdLevelName(level);
+    double ex[4] = {};
+    double ey[4] = {};
+    EXPECT_EQ((*ops)->envelope_filter({}, 0.0, 1.0, ex, ey), 0u)
+        << SimdLevelName(level);
   }
 }
 
