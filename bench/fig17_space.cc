@@ -34,7 +34,8 @@ size_t MeasuredAuxBytes(Method method, std::span<const Point> pts, int width,
     case Method::kZorder:
       return ZOrderIndex::Build(pts)->MemoryUsageBytes();
     default:
-      return EstimateAuxiliarySpaceBytes(method, pts.size(), width, height);
+      return EstimateAuxiliarySpaceBytes(method, pts.size(), width, height,
+                                         /*stripes=*/1, /*recentered=*/false);
   }
 }
 

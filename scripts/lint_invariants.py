@@ -19,17 +19,18 @@ DESIGN.md §13); this linter keeps the purely textual rules:
                      validation layer (util/validate.h) so hostile input is
                      rejected exactly once, with a typed Status.
 
-  comparison-sort    No `std::sort` / `std::stable_sort` in src/core/: a
-                     swept line needs only each pixel bucket's sum, which
-                     the engine's bucket sums (simd bucket_sweep) and the
-                     direct entry's O(n + X) pixel-binned counting sort
-                     (simd histogram_scatter) give without ordering any
-                     endpoint (DESIGN.md §12), and a comparison sort
-                     silently reintroduces an O(n log n) per row.
-                     The one sort a SLAM compute pays, of its points along
-                     the swept axis, runs once per compute in the engine
-                     (kdv/engine.cc, DESIGN.md §4 item 4), outside this
-                     scope; any other once-per-compute sort here carries an
+  comparison-sort    No `std::sort` / `std::stable_sort` in src/core/ or
+                     src/kdv/: a swept line needs only each pixel bucket's
+                     sum, which the engine's bucket sums (simd
+                     bucket_sweep) and the direct entry's O(n + X)
+                     pixel-binned counting sort (simd histogram_scatter)
+                     give without ordering any endpoint (DESIGN.md §12),
+                     and the engine's swept copy needs only reach order,
+                     which one O(n + L) counting sort on the lines each
+                     point reaches gives (core/envelope.h OrderByReach,
+                     DESIGN.md §4 item 4). A comparison sort in either
+                     place silently reintroduces an O(n log n) per row or
+                     per compute; one that is truly needed carries an
                      explicit waiver.
 
   retry-backoff      A loop whose header names a retry/attempt counter must
@@ -160,7 +161,7 @@ def check_unvalidated_parse(f: SourceFile) -> list[Violation]:
 # Rule: comparison-sort
 # ---------------------------------------------------------------------------
 
-COMPARISON_SORT_SCOPE = "src/core/"
+COMPARISON_SORT_SCOPE = ("src/core/", "src/kdv/")
 COMPARISON_SORT_RE = re.compile(r"\bstd::(?:stable_)?sort\s*\(")
 
 
@@ -177,13 +178,16 @@ def check_comparison_sort(f: SourceFile) -> list[Violation]:
                     f.rel,
                     i,
                     "comparison-sort",
-                    "std::sort/std::stable_sort in a sweep hot path: a "
-                    "line needs each pixel bucket's sum, not an endpoint "
-                    "order — add endpoints into bucket sums "
+                    "std::sort/std::stable_sort in the sweep or its "
+                    "engine: a line needs each pixel bucket's sum, not an "
+                    "endpoint order — add endpoints into bucket sums "
                     "(SimdOps::bucket_sweep) or bin them with the "
                     "pixel-binned counting sort (SimdOps::histogram_scatter), "
-                    "DESIGN.md §12; a once-per-compute sort may carry a "
-                    "lint:allow(comparison-sort) waiver with a reason",
+                    "DESIGN.md §12; the swept copy needs only reach order, "
+                    "a counting sort by the lines each point reaches "
+                    "(OrderByReach, DESIGN.md §4 item 4); a sort that is "
+                    "truly needed may carry a lint:allow(comparison-sort) "
+                    "waiver with a reason",
                 )
             )
     return out

@@ -2,8 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+
+#include "util/narrow.h"
 
 namespace slam {
+
+namespace {
+
+/// The first line j in [0, L] whose coordinate passes `test`, L when none
+/// does; `test` must switch from false to true at most once as k grows.
+/// `estimate` is where it switches in exact arithmetic. It is clamped to
+/// [0, L] in double (a NaN reads as 0) before the int conversion, then
+/// walked to the exact line with the test itself.
+template <typename Test>
+int FirstLineWhere(const GridAxis& along, double estimate, Test test) {
+  const double t = std::ceil(estimate);
+  int j = 0;
+  if (t >= static_cast<double>(along.count)) {
+    j = along.count;
+  } else if (t > 0.0) {
+    // In (0, L) by the checks above; a NaN fails both and stays 0.
+    j = static_cast<int>(t);  // lint:allow(narrowing-cast) NOLINT(slam-narrowing-cast)
+  }
+  while (j > 0 && test(along.Coord(j - 1))) --j;
+  while (j < along.count && !test(along.Coord(j))) ++j;
+  return j;
+}
+
+}  // namespace
 
 void FindEnvelope(std::span<const Point> points, WorldY k, double bandwidth,
                   std::vector<Point>* out) {
@@ -28,6 +56,78 @@ std::span<const Point> SortedEnvelopeCursor::Advance(WorldY k,
     ++hi_;
   }
   return points_.subspan(lo_, hi_ - lo_);
+}
+
+Status OrderByReach(std::span<const Point> points, const SweepFrame& frame,
+                    const GridAxis& along, const GridAxis& across,
+                    double bandwidth, ScopedMemoryCharge* charge,
+                    std::vector<Point>* ordered,
+                    std::vector<size_t>* envelope_sizes) {
+  const double b = bandwidth;
+  const size_t lines = CheckedSize(along.count);
+  // Keys run over [0, 2L]; L <= INT_MAX, so the sentinel of a dropped
+  // point sits above every key.
+  constexpr uint32_t kDropped = std::numeric_limits<uint32_t>::max();
+  const size_t lane_bytes = points.size() * sizeof(uint32_t) +
+                            (2 * lines + 2 + lines + 1) * sizeof(size_t);
+  SLAM_RETURN_NOT_OK(charge->Update(lane_bytes));
+  std::vector<uint32_t> keys(points.size());
+  // counts[key + 1] is the number of kept points with that key, so its
+  // prefix sums are each key's first slot in the copy.
+  std::vector<size_t> counts(2 * lines + 2, 0);
+  // One point opens at `first` and closes at `past`; the running sum of
+  // these steps (unsigned, wrapping as it falls) is each line's m_j.
+  std::vector<size_t>& steps = *envelope_sizes;
+  steps.assign(lines + 1, 0);
+  const double across_first = across.Coord(0);
+  const double across_last = across.last();
+  const double reach = b / along.gap;
+  for (size_t i = 0; i < points.size(); ++i) {
+    const Point s = frame(points[i]);
+    const double t = (s.y - along.origin) / along.gap;
+    const int first = FirstLineWhere(
+        along, t - reach, [&](double k) { return k - s.y >= -b; });
+    const int past = FirstLineWhere(
+        along, t + reach, [&](double k) { return k - s.y > b; });
+    if (first < past && across_first - s.x <= b && across_last - s.x >= -b) {
+      const auto key =
+          CheckedNarrow<uint32_t>(CheckedSize(first) + CheckedSize(past));
+      keys[i] = key;
+      ++counts[key + 1];
+      ++steps[CheckedSize(first)];
+      --steps[CheckedSize(past)];
+    } else {
+      keys[i] = kDropped;
+    }
+  }
+  for (size_t key = 1; key < counts.size(); ++key) {
+    counts[key] += counts[key - 1];
+  }
+  const size_t kept = counts.back();
+  SLAM_RETURN_NOT_OK(charge->Update(lane_bytes + kept * sizeof(Point)));
+  ordered->resize(kept);
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (keys[i] != kDropped) (*ordered)[counts[keys[i]]++] = frame(points[i]);
+  }
+  for (size_t j = 1; j < lines; ++j) steps[j] += steps[j - 1];
+  steps.resize(lines);
+  std::vector<uint32_t>().swap(keys);
+  std::vector<size_t>().swap(counts);
+  return charge->Update(kept * sizeof(Point) + (lines + 1) * sizeof(size_t));
+}
+
+std::span<const Point> ReachingRun(std::span<const Point> ordered,
+                                   const GridAxis& along, int begin, int end,
+                                   double bandwidth) {
+  const double first = along.Coord(begin);
+  const double last = along.Coord(end - 1);
+  const auto lo = std::partition_point(
+      ordered.begin(), ordered.end(),
+      [&](const Point& p) { return first - p.y > bandwidth; });
+  const auto hi = std::partition_point(
+      lo, ordered.end(),
+      [&](const Point& p) { return last - p.y >= -bandwidth; });
+  return {lo, hi};
 }
 
 }  // namespace slam

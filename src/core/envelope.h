@@ -6,10 +6,10 @@
 // Two implementations of the same predicate, |k − p.y| <= b:
 //  * FindEnvelope — the paper's O(n) per-row scan (Lemma 1).
 //  * SortedEnvelopeCursor — our extension (DESIGN.md §4 item 4): over
-//    points sorted by y, each row's envelope is a contiguous run kept by
-//    two forward-only cursors, O(|E(k)| + Δ) per row after one O(n log n)
-//    sort. It yields exactly FindEnvelope's sequence on the same sorted
-//    input.
+//    points in reach order (OrderByReach), each row's envelope is a
+//    contiguous run kept by two forward-only cursors, O(|E(k)| + Δ) per
+//    row after one O(n + L) counting sort. It yields exactly the points
+//    FindEnvelope admits from the same input.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "geom/point.h"
+#include "kdv/grid.h"
+#include "util/exec_context.h"
 #include "util/result.h"
 #include "util/units.h"
 
@@ -28,19 +30,20 @@ namespace slam {
 void FindEnvelope(std::span<const Point> points, WorldY k, double bandwidth,
                   std::vector<Point>* out);
 
-/// Walks the rows of a sweep over points sorted by y (ascending, by `<`).
-/// k − p.y only falls as p.y grows and only rises as k grows (rounding is
-/// monotone), so the points the scan drops for being below the row
-/// (k − p.y > b) are a prefix of the sorted order, the points it would
-/// admit (k − p.y >= −b) are a longer prefix, and both prefixes only grow
-/// from one row to the next. The envelope is the run between them.
+/// Walks the rows of a sweep over points in which, at every row, the
+/// points the scan drops for being below the row (k − p.y > b) are a
+/// prefix, and the points it admits (k − p.y >= −b) are a longer prefix.
+/// Both prefixes only grow from one row to the next, since k − p.y only
+/// rises with k (rounding is monotone). Points sorted by y have that
+/// property, and so does the cheaper reach order (OrderByReach). The
+/// envelope is the run between the two prefixes.
 class SortedEnvelopeCursor {
  public:
-  /// `sorted_by_y` must outlive the cursor.
-  explicit SortedEnvelopeCursor(std::span<const Point> sorted_by_y)
-      : points_(sorted_by_y) {}
+  /// `ordered` must outlive the cursor.
+  explicit SortedEnvelopeCursor(std::span<const Point> ordered)
+      : points_(ordered) {}
 
-  /// E(k) as a subspan of the sorted points. Rows must come in
+  /// E(k) as a subspan of the ordered points. Rows must come in
   /// non-decreasing k with the same bandwidth; the cursors never step back.
   std::span<const Point> Advance(WorldY k, double bandwidth);
 
@@ -49,5 +52,51 @@ class SortedEnvelopeCursor {
   size_t lo_ = 0;  // first point not dropped (k − y <= b)
   size_t hi_ = 0;  // first point not admitted (k − y < −b)
 };
+
+/// The frame a sweep runs in: an input point shifted by −shift (the
+/// engine's recentering), then with x and y swapped when the swept lines
+/// are columns of the output (RAO on a tall grid).
+struct SweepFrame {
+  Point shift{0.0, 0.0};
+  bool transposed = false;
+
+  Point operator()(const Point& p) const {
+    const Point s{p.x - shift.x, p.y - shift.y};
+    return transposed ? Point{s.y, s.x} : s;
+  }
+};
+
+/// Builds the engine's swept copy (DESIGN.md §4 item 4) for the lines at
+/// k_j = along.Coord(j), j in [0, L). In the sweep frame, with s a point's
+/// y coordinate, first(p) is the first line whose k − s >= −b (the
+/// cursor's admit test) and past(p) the first whose k − s > b (its drop
+/// test), L when there is none; p is in the envelopes of lines
+/// [first, past). A point is kept iff first < past and it lies within b
+/// of [across.Coord(0), across.last()]: across the swept axis a dropped
+/// point is farther than b from every pixel and adds zero to each.
+///
+/// `*ordered` gets the kept points in the frame, stably counting-sorted by
+/// first + past. Both only grow with s, so at every line the points the
+/// cursor drops and the points it admits are prefixes of that order.
+/// `*envelope_sizes` gets L entries, m_j = #{first <= j} − #{past <= j}:
+/// line j's envelope size. The pass is O(n + L): one histogram pass and
+/// one scatter pass over `points`. `charge` pays for the key lane (4 bytes
+/// per input point) and the histograms while they live; on return it holds
+/// the copy and `*envelope_sizes`.
+Status OrderByReach(std::span<const Point> points, const SweepFrame& frame,
+                    const GridAxis& along, const GridAxis& across,
+                    double bandwidth, ScopedMemoryCharge* charge,
+                    std::vector<Point>* ordered,
+                    std::vector<size_t>* envelope_sizes);
+
+/// The run of `ordered` (OrderByReach's order for `along`'s lines) that
+/// lines [begin, end) read: from the first point not dropped at line
+/// `begin` to the first point not admitted at line end − 1, each found by
+/// a binary search with the cursor's own test. Every envelope of those
+/// lines is a run inside it, so a cursor over it yields the same runs as
+/// one over the whole copy.
+std::span<const Point> ReachingRun(std::span<const Point> ordered,
+                                   const GridAxis& along, int begin, int end,
+                                   double bandwidth);
 
 }  // namespace slam

@@ -14,9 +14,16 @@ thread_local bool t_thread_arena_in_use = false;
 
 void SweepArena::PrepareCompute(size_t widest, const GridAxis& xs,
                                 KernelType kernel) {
-  for (std::vector<double>* lane : {&ex, &ey, &lb, &ub}) lane->resize(widest);
-  lower_idx.resize(widest);
-  upper_idx.resize(widest);
+  // reserve() first, so a lane an earlier, narrower compute left grows to
+  // exactly `widest`, not to the doubling a resize would pick.
+  for (std::vector<double>* lane : {&ex, &ey, &lb, &ub}) {
+    lane->reserve(widest);
+    lane->resize(widest);
+  }
+  for (std::vector<int32_t>* lane : {&lower_idx, &upper_idx}) {
+    lane->reserve(widest);
+    lane->resize(widest);
+  }
   buckets.resize((CheckedSize(xs.count) + 1) * BucketStride(kernel));
   for (std::vector<double>* lane :
        {&lower_px, &lower_py, &upper_px, &upper_py}) {

@@ -1,6 +1,5 @@
 #include "core/sweep_rows.h"
 
-#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
@@ -16,8 +15,8 @@ namespace slam {
 
 namespace {
 
-/// Copies an AoS envelope span (a run of the y-sorted points) into the SoA
-/// lanes. The lanes are typed at this boundary (TypedLane, util/units.h):
+/// Copies an AoS envelope span (a run of the reach-ordered points) into the
+/// SoA lanes. The lanes are typed at this boundary (TypedLane, util/units.h):
 /// the compiler rejects scattering a y coordinate into the x lane; only the
 /// dispatched backends below ever see the raw doubles.
 void SoaFromSpan(std::span<const Point> envelope, TypedLane<WorldX> ex,
@@ -26,19 +25,6 @@ void SoaFromSpan(std::span<const Point> envelope, TypedLane<WorldX> ex,
     ex.Store(i, WorldX(envelope[i].x));
     ey.Store(i, WorldY(envelope[i].y));
   }
-}
-
-/// The largest envelope any line of `rows` sees, from one dry walk of the
-/// cursor (O(n + lines) comparisons): sizing every lane to it up front
-/// means no line resizes, and a fresh arena holds exactly that much.
-size_t WidestEnvelope(const KdvTask& task, RowRange rows) {
-  SortedEnvelopeCursor cursor(task.points);
-  size_t widest = 0;
-  for (RowIndex iy(rows.begin); iy < RowIndex(rows.end); ++iy) {
-    widest = std::max(
-        widest, cursor.Advance(task.grid.YCoord(iy), task.bandwidth).size());
-  }
-  return widest;
 }
 
 /// Stores a swept line down column `ix` of `*map`, one value per row.
@@ -66,7 +52,7 @@ Status ChargeArena(SweepArena* ws, ScopedMemoryCharge* charge) {
 
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                             const SweepMethodLabels& labels, SweptLines lines,
-                            RowRange rows, DensityMap* out) {
+                            RowRange rows, size_t widest, DensityMap* out) {
   SLAM_ASSIGN_OR_RETURN(const SimdOps* ops, GetSimdOps(options.simd));
   const bool columns = lines == SweptLines::kColumns;
   const ExecContext* exec = options.exec;
@@ -75,7 +61,7 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
   // Every lane is sized and charged before the first line; no line
   // resizes one.
   ScopedArena ws;
-  ws->PrepareCompute(WidestEnvelope(task, rows), xs, task.kernel);
+  ws->PrepareCompute(widest, xs, task.kernel);
   ws->line.resize(columns ? CheckedSize(xs.count) : 0);
   SLAM_RETURN_NOT_OK(ChargeArena(&*ws, &charge));
 
@@ -92,15 +78,16 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
   args.lower_idx = ws->lower_idx.data();
   args.upper_idx = ws->upper_idx.data();
   args.buckets = ws->buckets.data();
-  // The points are sorted by y (the engine's swept copy, kdv/engine.cc), so
-  // each line's envelope is a run of them: the points the scan would emit,
-  // in the order it would emit them.
+  // The points are in reach order (the engine's swept copy, OrderByReach),
+  // so each line's envelope is a run of them: the points the scan would
+  // admit.
   SortedEnvelopeCursor cursor(task.points);
   for (RowIndex iy(rows.begin); iy < RowIndex(rows.end); ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(exec, labels.row));
     const WorldY k = task.grid.YCoord(iy);
     const std::span<const Point> envelope = cursor.Advance(k, task.bandwidth);
     const size_t m = envelope.size();
+    SLAM_DCHECK(m <= widest) << "an envelope wider than the lanes";
     SoaFromSpan(envelope, TypedLane<WorldX>(ws->ex.data(), m),
                 TypedLane<WorldY>(ws->ey.data(), m));
     ops->bound_intervals(ws->ex.data(), ws->ey.data(), m, k.value(),

@@ -2,13 +2,13 @@
 // SLAM_SORT and SLAM_BUCKET run the same dispatched passes
 // (simd/sweep_ops.h) per swept line, and RAO (paper Section 3.6) only
 // picks the axis the lines run along. The engine's loop slices each
-// line's envelope out of its y-sorted copy and keeps per-pixel bucket sums
-// (bound_intervals → bucket_indices → bucket_sweep); the direct entry keeps
-// Lemma 1's scan and the counting sort (envelope_filter → bound_intervals
-// → bucket_indices → histogram_scatter → row_sweep). What differs between
-// the families is each one's public names — checkpoint sites, budget-charge
-// tags, error messages — and, for RAO, whether a swept line is a row or a
-// column of the output.
+// line's envelope out of its reach-ordered copy and keeps per-pixel bucket
+// sums (bound_intervals → bucket_indices → bucket_sweep); the direct entry
+// keeps Lemma 1's scan and the counting sort (envelope_filter →
+// bound_intervals → bucket_indices → histogram_scatter → row_sweep). What
+// differs between the families is each one's public names — checkpoint
+// sites, budget-charge tags, error messages — and, for RAO, whether a
+// swept line is a row or a column of the output.
 #pragma once
 
 #include "kdv/density_map.h"
@@ -42,13 +42,17 @@ enum class SweptLines { kRows, kColumns };
 
 /// The engine's line loop: sweeps lines [rows.begin, rows.end) of `task` and
 /// writes them into `*out`, which the caller created in the output's shape
-/// (RowRange, kdv/task.h). `task.points` must be sorted by y (ascending, by
-/// `<`), as ComputeKdv's swept copy is: each line's envelope is then a run
-/// of them (SortedEnvelopeCursor), and bucket_sweep turns it into the
-/// line's densities. Every lane is sized and charged before the first line.
+/// (RowRange, kdv/task.h). `task.points` must be in reach order for those
+/// lines, as the run of ComputeKdv's swept copy a stripe reads is
+/// (OrderByReach, ReachingRun in core/envelope.h): at every line the points
+/// the scan drops and the points it admits are prefixes. Each line's
+/// envelope is then a run of them (SortedEnvelopeCursor), and bucket_sweep
+/// turns it into the line's densities. `widest` bounds every envelope of
+/// those lines (the engine counts each line's in the same pass); every lane
+/// is sized to it and charged before the first line.
 Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
                             const SweepMethodLabels& labels, SweptLines lines,
-                            RowRange rows, DensityMap* out);
+                            RowRange rows, size_t widest, DensityMap* out);
 
 /// A direct ComputeSlamSort / ComputeSlamBucket call, outside the engine:
 /// validates the task and the SLAM kernel rule, creates `*out` and sweeps

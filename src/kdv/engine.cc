@@ -10,6 +10,7 @@
 #include "baselines/rqs.h"
 #include "baselines/scan.h"
 #include "baselines/zorder.h"
+#include "core/envelope.h"
 #include "core/rao.h"
 #include "core/sweep_rows.h"
 #include "kdv/parallel.h"
@@ -80,57 +81,37 @@ bool MethodIsRao(Method method) {
   return method == Method::kSlamSortRao || method == Method::kSlamBucketRao;
 }
 
-/// A SLAM stripe's copy of the input (DESIGN.md §4 item 4), in the
-/// sweep frame: recentered by `shift`, x and y swapped when the lines are
-/// columns, and stable-sorted by y, so every line's envelope is a run of
-/// the sorted order (core/sweep_rows.cc). A point is kept iff
-/// k_first − s <= b and k_last − s >= −b, with k the pixel coordinates
-/// and s the point's, taken across the whole grid and along the swept
-/// axis from the stripe's first line to its last. Along it, k − s only
-/// rises with k, so that keeps every point the scan's |k − s| <= b admits
-/// at some line of the stripe, and each line's run holds the same points
-/// in the same order as in a copy for any wider stripe. Across it, a
-/// dropped point is farther than b from every pixel and adds zero to
-/// each; kept, its endpoints would park before pixel 0 and cancel out of
-/// L − U only up to rounding (DESIGN.md §6). Fills `*points` and `*swept`
-/// (the task over the copy and the shifted grid, transposed for
-/// columns); `charge` pays for the copy.
-Status CopySweptPoints(const KdvTask& task, Point shift, SweptLines lines,
-                       RowRange rows, ScopedMemoryCharge* charge,
-                       std::vector<Point>* points, KdvTask* swept) {
-  const bool columns = lines == SweptLines::kColumns;
-  const Grid shifted = task.grid.Translated(shift.x, shift.y);
-  *swept = task;
-  swept->grid = columns ? shifted.Transposed() : shifted;
-  const auto in_frame = [&](const Point& p) {
-    const Point s{p.x - shift.x, p.y - shift.y};
-    return columns ? Point{s.y, s.x} : s;
-  };
-  const GridAxis along = swept->grid.y_axis();
-  const GridAxis across = swept->grid.x_axis();
-  const auto near = [b = task.bandwidth](double first, double last,
-                                         double s) {
-    return first - s <= b && last - s >= -b;
-  };
-  const auto reaches = [&](const Point& p) {
-    const Point s = in_frame(p);
-    return near(along.Coord(rows.begin), along.Coord(rows.end - 1), s.y) &&
-           near(across.Coord(0), across.last(), s.x);
-  };
-  const auto kept = static_cast<size_t>(
-      std::count_if(task.points.begin(), task.points.end(), reaches));
-  // The copy, plus std::stable_sort's merge buffer (at most a second copy)
-  // until the sort returns.
-  SLAM_RETURN_NOT_OK(charge->Update(2 * kept * sizeof(Point)));
-  points->reserve(kept);
-  for (const Point& p : task.points) {
-    if (reaches(p)) points->push_back(in_frame(p));
+/// What a SLAM line costs per pixel, in units of what it costs per
+/// envelope point: a line runs about m + kPixelWork·X units of work. A fit
+/// of per-line time on uniform tasks (m 200–20,000, X 512–4096,
+/// Epanechnikov, AVX2) put a pixel at about 0.6 points; the cut moves
+/// little with it wherever envelopes are much longer than lines.
+constexpr double kPixelWork = 0.5;
+
+/// Cuts lines [0, num_lines) into min(num_lines, parts) stripes of at least
+/// one line each whose weights add up to near-equal shares of the total:
+/// a stripe ends at the first line where the running weight reaches its
+/// share, or where only one line is left for each stripe still to come.
+/// `weight(j) >= 0` is line j's.
+template <typename Weight>
+std::vector<RowRange> CutLines(int num_lines, int parts, Weight weight) {
+  const int count = std::min(num_lines, parts);
+  double total = 0.0;
+  for (int j = 0; j < num_lines; ++j) total += weight(j);
+  std::vector<RowRange> stripes;
+  double running = 0.0;
+  int begin = 0;
+  for (int j = 0; j + 1 < num_lines && PixelIndex(stripes.size()) + 1 < count;
+       ++j) {
+    running += weight(j);
+    const int cut = PixelIndex(stripes.size()) + 1;  // the stripe j may end
+    if (running >= total * cut / count || num_lines - (j + 1) == count - cut) {
+      stripes.push_back({begin, j + 1});
+      begin = j + 1;
+    }
   }
-  std::stable_sort(points->begin(), points->end(),
-                   [](const Point& a, const Point& c) { return a.y < c.y; });
-  SLAM_RETURN_NOT_OK(charge->Update(kept * sizeof(Point)));
-  swept->points = *points;
-  return Status::OK();
+  stripes.push_back({begin, num_lines});
+  return stripes;
 }
 
 }  // namespace
@@ -206,7 +187,7 @@ class FirstErrorCollector {
     }
   }
 
-  /// Safe to call only after every stripe thread has joined.
+  /// Safe to call only after every stripe has finished.
   Status TakeStatus() {
     MutexLock lock(&mutex_);
     return first_error_;
@@ -219,12 +200,13 @@ class FirstErrorCollector {
 };
 
 /// The one body behind ComputeKdv and ComputeKdvParallel. The prologue
-/// (sanitize, SIMD resolve, validation, the SLAM kernel rule, the budget
-/// pre-flight, the recenter shift, RAO's sweep axis and the raster) runs
-/// once per call. Then the swept lines [0, L) run as one stripe on the
-/// calling thread, or, given `num_threads`, as ParallelFor's chunks across
-/// a pool; every line is computed from the same inputs either way, so the
-/// raster is the same bit for bit.
+/// (sanitize, SIMD resolve, validation, the SLAM kernel rule, the recenter
+/// shift, RAO's sweep axis, the budget pre-flight, the raster and what the
+/// stripes share) runs once per call. Then the swept lines [0, L) run as
+/// one stripe on the calling thread, or, given `num_threads`, as 2T
+/// stripes cut by work (CutLines) across a pool of T threads; every line
+/// is computed from the same inputs either way, so the raster is the same
+/// bit for bit.
 Result<DensityMap> RunEngine(const KdvTask& task, Method method,
                              const EngineOptions& options,
                              std::optional<int> num_threads) {
@@ -260,15 +242,6 @@ Result<DensityMap> RunEngine(const KdvTask& task, Method method,
   if (sweep != nullptr) {
     SLAM_RETURN_NOT_OK(CheckKernelSupportedBySlam(run_task.kernel));
   }
-  // Pre-flight memory check: refuse before doing any work if the method's
-  // analytic peak auxiliary space cannot fit in the remaining budget.
-  if (exec != nullptr && exec->memory_budget() != nullptr) {
-    SLAM_RETURN_NOT_OK(exec->CheckBudgetFor(
-        EstimateAuxiliarySpaceBytes(method, run_task.points.size(),
-                                    run_task.grid.width(),
-                                    run_task.grid.height()),
-        MethodName(method)));
-  }
   // Recentering only pays off when the coordinates are ill-conditioned for
   // the subtractive aggregate forms; well-conditioned tasks are computed
   // unshifted.
@@ -283,36 +256,82 @@ Result<DensityMap> RunEngine(const KdvTask& task, Method method,
   const SweptLines lines = MethodIsRao(method) && RaoWouldTranspose(run_task)
                                ? SweptLines::kColumns
                                : SweptLines::kRows;
+  const int num_lines = lines == SweptLines::kColumns ? run_task.grid.width()
+                                                      : run_task.grid.height();
+  // The stripes run on the calling thread, one at a time, or on a pool,
+  // one per thread at a time.
+  std::optional<ThreadPool> pool;
+  if (num_threads.has_value()) pool.emplace(*num_threads);
+  const int parts = pool ? 2 * pool->num_threads() : 1;
+  // Pre-flight memory check: refuse before doing any work if what the call
+  // holds at its peak cannot fit in the remaining budget.
+  if (exec != nullptr && exec->memory_budget() != nullptr) {
+    const int stripes_at_once =
+        pool ? std::min(pool->num_threads(), num_lines) : 1;
+    SLAM_RETURN_NOT_OK(exec->CheckBudgetFor(
+        EstimateAuxiliarySpaceBytes(method, run_task.points.size(),
+                                    run_task.grid.width(),
+                                    run_task.grid.height(), stripes_at_once,
+                                    recenter),
+        MethodName(method)));
+  }
   SLAM_ASSIGN_OR_RETURN(
       DensityMap map,
       DensityMap::Create(run_task.grid.width(), run_task.grid.height()));
-  // The baselines share one task, recentered once when the shift applies;
-  // each SLAM stripe copies the points it can reach (CopySweptPoints).
+  // What the stripes share is made once. The baselines read one task,
+  // recentered when the shift applies, and cost about the same per line.
+  // The SLAM methods read one swept copy in reach order (DESIGN.md §4
+  // item 4): each stripe sweeps the run of it its lines reach, and the
+  // lines are cut by the envelope work the copy's pass counted.
   ScopedMemoryCharge recenter_charge(exec, "engine/recentered_points");
   std::optional<TranslatedTask> translated;
-  if (sweep == nullptr && recenter) {
+  ScopedMemoryCharge swept_charge(exec, "engine/swept_points");
+  std::vector<Point> swept_points;
+  KdvTask swept = run_task;
+  std::vector<RowRange> stripes;
+  std::vector<size_t> widest;  // each SLAM stripe's largest envelope
+  if (sweep == nullptr) {
+    if (recenter) {
+      SLAM_RETURN_NOT_OK(
+          recenter_charge.Update(run_task.points.size() * sizeof(Point)));
+      translated.emplace(run_task, c.x, c.y);
+    }
+    stripes = CutLines(num_lines, parts, [](int) { return 1.0; });
+  } else {
+    const SweepFrame frame{c, lines == SweptLines::kColumns};
+    const Grid shifted = run_task.grid.Translated(c.x, c.y);
+    swept.grid = frame.transposed ? shifted.Transposed() : shifted;
+    std::vector<size_t> envelope_sizes;
+    SLAM_RETURN_NOT_OK(OrderByReach(
+        run_task.points, frame, swept.grid.y_axis(), swept.grid.x_axis(),
+        swept.bandwidth, &swept_charge, &swept_points, &envelope_sizes));
+    swept.points = swept_points;
+    const double pixel_work = kPixelWork * swept.grid.width();
+    stripes = CutLines(num_lines, parts, [&](int j) {
+      return static_cast<double>(envelope_sizes[CheckedSize(j)]) + pixel_work;
+    });
+    for (const RowRange& rows : stripes) {
+      widest.push_back(*std::max_element(envelope_sizes.begin() + rows.begin,
+                                         envelope_sizes.begin() + rows.end));
+    }
+    // The per-line counts go before any stripe charges its arena.
+    std::vector<size_t>().swap(envelope_sizes);
     SLAM_RETURN_NOT_OK(
-        recenter_charge.Update(run_task.points.size() * sizeof(Point)));
-    translated.emplace(run_task, c.x, c.y);
+        swept_charge.Update(swept_points.size() * sizeof(Point)));
   }
   const KdvTask& method_task = translated ? translated->task() : run_task;
-  // One stripe of lines, on whichever thread runs it.
-  const auto run_stripe = [&](RowRange rows,
-                              const ComputeOptions& stripe_compute) {
+  // Stripe `s`, on whichever thread runs it.
+  const auto run_stripe = [&](size_t s, const ComputeOptions& stripe_compute) {
+    const RowRange rows = stripes[s];
     if (sweep == nullptr) return fn(method_task, stripe_compute, rows, &map);
-    ScopedMemoryCharge swept_charge(stripe_compute.exec,
-                                    "engine/swept_points");
-    std::vector<Point> swept_points;
-    KdvTask swept;
-    SLAM_RETURN_NOT_OK(CopySweptPoints(run_task, c, lines, rows, &swept_charge,
-                                       &swept_points, &swept));
-    return ComputeEndpointSweep(swept, stripe_compute, *sweep, lines, rows,
-                                &map);
+    KdvTask stripe = swept;
+    stripe.points = ReachingRun(swept_points, swept.grid.y_axis(), rows.begin,
+                                rows.end, swept.bandwidth);
+    return ComputeEndpointSweep(stripe, stripe_compute, *sweep, lines, rows,
+                                widest[s], &map);
   };
-  const int num_lines = lines == SweptLines::kColumns ? run_task.grid.width()
-                                                      : run_task.grid.height();
-  if (!num_threads.has_value()) {
-    SLAM_RETURN_NOT_OK(run_stripe({0, num_lines}, compute));
+  if (!pool) {
+    SLAM_RETURN_NOT_OK(run_stripe(0, compute));
     return map;
   }
 
@@ -329,22 +348,21 @@ Result<DensityMap> RunEngine(const KdvTask& task, Method method,
   ComputeOptions stripe_options = compute;
   stripe_options.exec = &stripe_exec;
   FirstErrorCollector errors(&stripe_cancel);
-  {
-    // Scope: the pool joins before the first error is read or `map`
-    // returned, so no stripe thread outlives this function. Stripes write
-    // disjoint lines of `map`, so the raster needs no lock.
-    ThreadPool pool(*num_threads);
-    ParallelFor(&pool, 0, num_lines, [&](int64_t begin, int64_t end) {
-      // A Cancelled here is a sibling's doing, and its error is already
-      // recorded; Record() keeps only the first status.
-      Status status = stripe_exec.Check("parallel/stripe");
-      if (status.ok()) {
-        status = run_stripe({PixelIndex(begin), PixelIndex(end)},
-                            stripe_options);
-      }
-      if (!status.ok()) errors.Record(status);
-    });
-  }
+  // ParallelFor returns once every stripe has finished, before the first
+  // error is read or `map` returned. Stripes write disjoint lines of
+  // `map`, so the raster needs no lock.
+  ParallelFor(&*pool, 0, static_cast<int64_t>(stripes.size()),
+              [&](int64_t begin, int64_t end) {
+                for (int64_t s = begin; s < end; ++s) {
+                  // A Cancelled here is a sibling's doing, and its error is
+                  // already recorded; Record() keeps only the first status.
+                  Status status = stripe_exec.Check("parallel/stripe");
+                  if (status.ok()) {
+                    status = run_stripe(CheckedSize(s), stripe_options);
+                  }
+                  if (!status.ok()) errors.Record(status);
+                }
+              });
   SLAM_RETURN_NOT_OK(errors.TakeStatus());
   return map;
 }
@@ -362,47 +380,68 @@ Result<DensityMap> ComputeKdvParallel(const KdvTask& task, Method method,
 }
 
 size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
-                                   int height) {
+                                   int height, int stripes, bool recentered) {
   const size_t point_bytes = sizeof(Point);
-  // Tree nodes: ~2n/leaf_size nodes; sizes from the index headers.
-  const size_t tree_nodes = 2 * n / 32 + 2;
+  const size_t at_once = CheckedSize(std::max(stripes, 1));
+  // An index holds a copy of the points and a node lane; node sizes are
+  // rounded up from the index headers. The kd- and ball trees reserve
+  // 2n/32 + 2 nodes, and a median split into leaves of at most 32 points
+  // needs fewer than twice that, so their lane doubles at most once. The
+  // quadtree's lane doubles from empty, to at most twice its node count;
+  // QUAD_NODES_PLACEHOLDER
+  const size_t tree_nodes = 2 * (2 * n / 32 + 2);
+  const size_t kd_tree = n * point_bytes + tree_nodes * 160;  // KdTree::Node
+  size_t per_stripe = 0;
   switch (method) {
     case Method::kScan:
-      return 0;
+      break;
     case Method::kRqsKd:
     case Method::kAkde:
-      return n * point_bytes + tree_nodes * 160;  // KdTree::Node
+      per_stripe = kd_tree;
+      break;
     case Method::kRqsBall:
-      return n * point_bytes + tree_nodes * 152;  // BallTree::Node
+      per_stripe = n * point_bytes + tree_nodes * 152;  // BallTree::Node
+      break;
     case Method::kZorder:
-      return n * point_bytes;  // Morton-sorted copy (sample is tiny)
+      // The sample (at most all n points), then RQS_kd's tree over it.
+      per_stripe = n * point_bytes + kd_tree;
+      break;
     case Method::kQuad:
-      return n * point_bytes + tree_nodes * 176;  // QuadTree::Node
+      per_stripe = n * point_bytes + 4 * tree_nodes * 176;  // QuadTree::Node
+      break;
     case Method::kSlamSort:
     case Method::kSlamSortRao:
     case Method::kSlamBucket:
     case Method::kSlamBucketRao: {
-      // The engine's swept copy of the points (one Point each), then one
-      // SweepArena (core/sweep_rows.cc): per point, the envelope and
-      // interval lanes (4 doubles) and the bucket indices (2 int32); per
-      // pixel of a swept line, X + 1 buckets of quartic's 24 doubles (12
-      // sums and 12 compensation terms, the widest bucket — the estimate
-      // takes no kernel) and qx. The copy's sort buffer (one more
-      // Point each) is freed before the arena is charged, so the arena's
-      // per-point term covers it. RAO sweeps min(X, Y) lines of max(X, Y)
-      // pixels, so its per-pixel lanes span the longer axis; sweeping
-      // columns adds the line lane the column is stored from (one more
-      // double per pixel).
+      // RAO sweeps min(X, Y) lines of max(X, Y) pixels.
       const bool columns = MethodIsRao(method) && height > width;
-      const size_t x = static_cast<size_t>(columns ? height : width);
+      const size_t x = CheckedSize(columns ? height : width);
+      const size_t lines = CheckedSize(columns ? width : height);
+      // The swept copy (one Point per kept point) is made once per call.
+      // While its pass runs, the key lane (one uint32 per point) and the
+      // per-line counts (3L + 3 size_t: the key histogram and the envelope
+      // sizes) live beside it; both are freed before any stripe charges its
+      // arena (core/envelope.h OrderByReach).
+      const size_t keys =
+          n * sizeof(uint32_t) + (3 * lines + 3) * sizeof(size_t);
+      // Each stripe's SweepArena (core/sweep_rows.cc): per point of its
+      // widest envelope (at most n), the envelope and interval lanes (4
+      // doubles) and the bucket indices (2 int32); per pixel of a swept
+      // line, X + 1 buckets of quartic's 24 doubles (12 sums and 12
+      // compensation terms, the widest bucket — the estimate takes no
+      // kernel) and qx, plus the line lane a column is stored from when
+      // the lines are columns.
       const size_t pixel_doubles = columns ? 2 : 1;
-      return n * (point_bytes + sizeof(double) * 4 + sizeof(int32_t) * 2) +
-             ((x + 1) * BucketStride(KernelType::kQuartic) +
-              x * pixel_doubles) *
-                 sizeof(double);
+      const size_t arena =
+          n * (sizeof(double) * 4 + sizeof(int32_t) * 2) +
+          ((x + 1) * BucketStride(KernelType::kQuartic) + x * pixel_doubles) *
+              sizeof(double);
+      return n * point_bytes + std::max(keys, at_once * arena);
     }
   }
-  return 0;
+  // The baselines share one recentered copy of the points when the shift
+  // applies; each stripe builds its own index.
+  return (recentered ? n * point_bytes : 0) + at_once * per_stripe;
 }
 
 }  // namespace slam

@@ -2,9 +2,9 @@
 // Table 6. Once per call it validates the task, optionally recenters
 // coordinates for floating-point conditioning, picks RAO's sweep axis and
 // creates the density raster; then it runs the method over the raster's
-// lines, handing the SLAM methods their points sorted along the swept axis
-// (DESIGN.md §4 item 4). ComputeKdvParallel (kdv/parallel.h) is the same
-// call with the lines split across threads.
+// lines, handing the SLAM methods one copy of their points in reach order
+// along the swept axis (DESIGN.md §4 item 4). ComputeKdvParallel
+// (kdv/parallel.h) is the same call with the lines split across threads.
 #pragma once
 
 #include <span>
@@ -50,11 +50,11 @@ struct EngineOptions {
   /// when coordinates are large (e.g. projected meters with a far datum).
   /// The result is identical up to FP rounding. On by default; the shift
   /// is only applied when the viewport center's magnitude dwarfs its
-  /// extent (TaskFarFromOrigin). The four SLAM methods always copy the
-  /// points they can reach, sorted along the swept axis, and apply the
-  /// shift in that copy; the other methods make one recentered copy per
-  /// call only when the shift applies, so well-conditioned tasks stay
-  /// copy-free.
+  /// extent (TaskFarFromOrigin). The four SLAM methods always make one copy
+  /// per call of the points their lines can reach, in reach order along the
+  /// swept axis, and apply the shift in that copy; the other methods make
+  /// one recentered copy per call only when the shift applies, so
+  /// well-conditioned tasks stay copy-free.
   bool recenter_coordinates = true;
   /// Opt-in input sanitization: drop points with NaN/Inf coordinates (one
   /// O(n) copy, warning logged with the dropped count) instead of failing
@@ -81,10 +81,17 @@ struct EngineOptions {
 Result<DensityMap> ComputeKdv(const KdvTask& task, Method method,
                               const EngineOptions& options = {});
 
-/// Analytic peak-auxiliary-space model of each method in bytes, excluding
-/// the input points and the output raster (which all methods share —
-/// Theorem 4's O(XY + n)). Backs the Figure 17 space experiment.
+/// Analytic model of the auxiliary space a call holds at its peak, in
+/// bytes, excluding the input points and the output raster (which all
+/// methods share — Theorem 4's O(XY + n)). What the call's stripes share
+/// is priced once: the SLAM methods' swept copy, and the baselines'
+/// recentered copy when `recentered` (the engine recenters iff
+/// TaskFarFromOrigin holds). What each stripe holds itself (an index, or a
+/// sweep arena) is priced once per stripe that can run at once:
+/// `stripes` is 1 for ComputeKdv and min(threads, swept lines) for
+/// ComputeKdvParallel. The engine's budget pre-flight refuses a call whose
+/// estimate does not fit; it also backs the Figure 17 space experiment.
 size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
-                                   int height);
+                                   int height, int stripes, bool recentered);
 
 }  // namespace slam

@@ -2,13 +2,15 @@
 // axis, Section 5). Given the shared input, the swept lines are
 // independent in every method here (Lemmas 1-5; RAO only picks their
 // axis), so ComputeKdvParallel is ComputeKdv with its lines split: the
-// engine's prologue runs once, then ParallelFor's stripes of the lines run
-// on a thread pool, each writing its own lines of the one raster
+// engine's prologue runs once, then 2T stripes of the lines run on a pool
+// of T threads, each writing its own lines of the one raster
 // (kdv/engine.cc). The result is ComputeKdv's raster bit for bit.
 //
-// What each stripe still pays for itself: the SLAM methods copy and sort
-// the points its lines can reach, and the index-based baselines build
-// their index once per stripe.
+// The SLAM methods' stripes share the call's one swept copy: each sweeps
+// the run of it its lines reach, and the lines are cut so that the
+// stripes carry near-equal envelope work (DESIGN.md §4 item 4). The
+// baselines' stripes are cut into equal line counts, and each builds its
+// own index.
 #pragma once
 
 #include "kdv/density_map.h"

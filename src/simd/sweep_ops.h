@@ -2,7 +2,7 @@
 // of function pointers selected once per compute call (dispatch.h).
 //
 // The engine's path (ComputeEndpointSweep, core/sweep_rows.h) slices each
-// line's envelope out of a y-sorted copy and runs three passes on it:
+// line's envelope out of a reach-ordered copy and runs three passes on it:
 //   - bound_intervals — per envelope point, the sweep interval
 //     [p.x − √(b² − dy²), p.x + √(b² − dy²)] (paper Eqs. 8–9) into
 //     contiguous lb[]/ub[] lanes.

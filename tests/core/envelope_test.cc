@@ -5,15 +5,19 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kdv/grid.h"
 #include "testing/test_util.h"
+#include "util/exec_context.h"
 #include "util/random.h"
 
 namespace slam {
 namespace {
 
+using testing::ClusteredPoints;
 using testing::RandomPoints;
 
 TEST(FindEnvelopeTest, FiltersByYDistance) {
@@ -168,6 +172,273 @@ TEST(SortedEnvelopeCursorTest, MatchesFindEnvelopeAtLargeOffsets) {
     ExpectCursorIsTheScan(sorted, Rows(offset - 5.0, 0.37, 300), 3.7);
     ExpectCursorIsTheScan(sorted, Rows(offset - 5.0, 1.3, 90), 0.61);
   }
+}
+
+/// An across axis wide enough that no test point is dropped across it.
+constexpr GridAxis kWideAcross{-1e9, 1e9, 3};
+
+/// The input mapped into `frame`, for the scan to filter.
+std::vector<Point> InFrame(const std::vector<Point>& input,
+                           const SweepFrame& frame) {
+  std::vector<Point> out;
+  for (const Point& p : input) out.push_back(frame(p));
+  return out;
+}
+
+std::vector<Point> SortedByXY(std::span<const Point> pts) {
+  std::vector<Point> out(pts.begin(), pts.end());
+  std::sort(out.begin(), out.end(), [](const Point& a, const Point& b) {
+    return a.x != b.x ? a.x < b.x : a.y < b.y;
+  });
+  return out;
+}
+
+void ExpectSameMultiset(std::span<const Point> got,
+                        std::span<const Point> expected,
+                        const std::string& where) {
+  const std::vector<Point> g = SortedByXY(got);
+  const std::vector<Point> e = SortedByXY(expected);
+  ASSERT_EQ(g.size(), e.size()) << where;
+  for (size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g[i].x, e[i].x) << where << " i=" << i;
+    EXPECT_EQ(g[i].y, e[i].y) << where << " i=" << i;
+  }
+}
+
+struct ReachOrdered {
+  std::vector<Point> points;
+  std::vector<size_t> envelope_sizes;
+};
+
+ReachOrdered OrderedByReach(const std::vector<Point>& input,
+                            const GridAxis& along, double bandwidth,
+                            const SweepFrame& frame = {},
+                            const GridAxis& across = kWideAcross) {
+  ReachOrdered out;
+  ScopedMemoryCharge charge(nullptr, "test");
+  EXPECT_TRUE(OrderByReach(input, frame, along, across, bandwidth, &charge,
+                           &out.points, &out.envelope_sizes)
+                  .ok());
+  return out;
+}
+
+/// Requires, at every line of `along`, that a cursor over the reach-ordered
+/// copy yields FindEnvelope's multiset of the points in the frame and that
+/// m_j is that run's length; and that the copy holds exactly the points
+/// some line admits. Returns the envelope sizes.
+std::vector<size_t> ExpectReachOrderIsTheScan(const std::vector<Point>& input,
+                                              const GridAxis& along,
+                                              double bandwidth,
+                                              const SweepFrame& frame = {}) {
+  const ReachOrdered reach = OrderedByReach(input, along, bandwidth, frame);
+  const std::vector<Point> framed = InFrame(input, frame);
+  EXPECT_EQ(reach.envelope_sizes.size(), static_cast<size_t>(along.count));
+  SortedEnvelopeCursor cursor(reach.points);
+  std::vector<Point> expected;
+  std::vector<Point> reached;  // every line's envelope, with repeats
+  for (int j = 0; j < along.count; ++j) {
+    const WorldY k(along.Coord(j));
+    FindEnvelope(framed, k, bandwidth, &expected);
+    const std::span<const Point> got = cursor.Advance(k, bandwidth);
+    ExpectSameMultiset(got, expected, "line " + std::to_string(j));
+    EXPECT_EQ(reach.envelope_sizes[static_cast<size_t>(j)], got.size())
+        << "line " << j;
+    reached.insert(reached.end(), expected.begin(), expected.end());
+  }
+  // Kept iff some line admits it: the scan's union, without repeats.
+  std::vector<Point> kept;
+  for (const Point& p : framed) {
+    for (int j = 0; j < along.count; ++j) {
+      if (std::abs(along.Coord(j) - p.y) <= bandwidth) {
+        kept.push_back(p);
+        break;
+      }
+    }
+  }
+  ExpectSameMultiset(reach.points, kept, "the copy");
+  return reach.envelope_sizes;
+}
+
+TEST(ReachOrderTest, CursorYieldsTheScansEnvelopeAtEveryLine) {
+  const auto pts = RandomPoints(2000, 100.0, 223);
+  Rng rng(227);
+  for (int trial = 0; trial < 20; ++trial) {
+    const double b = rng.Uniform(0.1, 20.0);
+    const int count = 1 + static_cast<int>(rng.Uniform(1.0, 200.0));
+    ExpectReachOrderIsTheScan(pts, GridAxis{-10.0, 120.0 / count, count}, b);
+  }
+}
+
+TEST(ReachOrderTest, BoundaryAtExactlyBAndOneUlpPast) {
+  // Lines at 6, 8, 10, 12 with b = 2 and points in (2, 16): every k − y
+  // below is exact, so a point at exactly k ± b is in line k's envelope
+  // and one an ulp past is not.
+  const double b = 2.0;
+  const GridAxis along{6.0, 2.0, 4};
+  std::vector<Point> pts;
+  for (const double y : {4.0, 10.0, 14.0}) {
+    pts.push_back({0.0, y});
+    pts.push_back({1.0, std::nextafter(y, 0.0)});
+    pts.push_back({2.0, std::nextafter(y, 100.0)});
+  }
+  const auto sizes = ExpectReachOrderIsTheScan(pts, along, b);
+  EXPECT_EQ(sizes[0], 2u);  // line 6: 4 at exactly b and 4 + ulp
+  EXPECT_EQ(sizes[1], 2u);  // line 8: 10 at exactly b and 10 − ulp
+  EXPECT_EQ(sizes[2], 3u);  // line 10: the three 10s
+  EXPECT_EQ(sizes[3], 4u);  // line 12: 10, 10 + ulp, 14 and 14 − ulp
+  // 4 − ulp and 14 + ulp are an ulp past b from every line.
+  EXPECT_EQ(OrderedByReach(pts, along, b).points.size(), 7u);
+}
+
+TEST(ReachOrderTest, DuplicateSweptCoordinates) {
+  std::vector<Point> pts;
+  for (int i = 0; i < 60; ++i) {
+    pts.push_back({static_cast<double>(i), static_cast<double>(i % 4)});
+  }
+  ExpectReachOrderIsTheScan(pts, GridAxis{-2.0, 0.5, 17}, 1.0);
+  ExpectReachOrderIsTheScan(pts, GridAxis{1.0, 1.0, 2}, 0.0);  // ties only
+}
+
+TEST(ReachOrderTest, PointsBetweenLinesMoreThanTwoBApartAreDropped) {
+  // Lines 0 and 100 with b = 2: a point with y in (2, 98) reaches neither
+  // line, so the copy leaves it out.
+  const auto pts = RandomPoints(1000, 100.0, 229);
+  ExpectReachOrderIsTheScan(pts, GridAxis{0.0, 100.0, 2}, 2.0);
+  const ReachOrdered reach = OrderedByReach(pts, GridAxis{0.0, 100.0, 2}, 2.0);
+  ASSERT_FALSE(reach.points.empty());
+  EXPECT_LT(reach.points.size(), pts.size());
+  for (const Point& p : reach.points) {
+    EXPECT_TRUE(p.y <= 2.0 || p.y >= 98.0) << p.y;
+  }
+}
+
+TEST(ReachOrderTest, PointsBeyondTheFirstAndLastLine) {
+  // The points span [0, 10); the lines cover [4, 6] only, so points more
+  // than b beyond either end reach no line.
+  const auto pts = RandomPoints(500, 10.0, 233);
+  const auto sizes =
+      ExpectReachOrderIsTheScan(pts, GridAxis{4.0, 0.25, 9}, 1.5);
+  EXPECT_GT(sizes.front(), 0u);
+  EXPECT_EQ(OrderedByReach(pts, GridAxis{40.0, 1.0, 5}, 1.5).points.size(),
+            0u);
+  EXPECT_EQ(OrderedByReach(pts, GridAxis{-40.0, 1.0, 5}, 1.5).points.size(),
+            0u);
+}
+
+TEST(ReachOrderTest, LargeOffsetsRoundLikeTheScan) {
+  for (const double offset : {1e7, -1e7}) {
+    std::vector<Point> pts = RandomPoints(1500, 100.0, 239);
+    for (Point& p : pts) {
+      p.x += offset;
+      p.y += offset;
+    }
+    ExpectReachOrderIsTheScan(pts, GridAxis{offset - 5.0, 0.37, 300}, 3.7);
+    ExpectReachOrderIsTheScan(pts, GridAxis{offset - 5.0, 1.3, 90}, 0.61);
+    // Recentered, as the engine's frame does it.
+    const SweepFrame shifted{{offset, offset}, false};
+    ExpectReachOrderIsTheScan(pts, GridAxis{-5.0, 0.37, 300}, 3.7, shifted);
+  }
+}
+
+TEST(ReachOrderTest, RaoColumnsSweepTheXCoordinate) {
+  // A column sweep runs in the transposed frame: the swept coordinate is
+  // the input's x.
+  const auto pts = ClusteredPoints(1500, 100.0, 4, 241);
+  const SweepFrame columns{{0.0, 0.0}, true};
+  ExpectReachOrderIsTheScan(pts, GridAxis{0.0, 0.8, 125}, 2.5, columns);
+  const SweepFrame both{{50.0, -20.0}, true};
+  ExpectReachOrderIsTheScan(pts, GridAxis{-50.0, 0.8, 125}, 2.5, both);
+  const ReachOrdered reach =
+      OrderedByReach(pts, GridAxis{0.0, 0.8, 125}, 2.5, columns);
+  for (size_t i = 1; i < reach.points.size(); ++i) {
+    // Reach order is nearly x order of the input: never more than the two
+    // lines either side of b apart.
+    EXPECT_LE(reach.points[i - 1].y - reach.points[i].y, 2 * 2.5 + 2 * 0.8);
+  }
+}
+
+TEST(ReachOrderTest, PointsFartherThanBAcrossTheSweptAxisAreDropped) {
+  const std::vector<Point> pts{{-3.0, 5.0},  {-2.0, 5.0}, {0.0, 5.0},
+                               {10.0, 5.0}, {12.0, 5.0}, {12.5, 5.0}};
+  const ReachOrdered reach = OrderedByReach(
+      pts, GridAxis{5.0, 1.0, 1}, 2.0, {}, GridAxis{0.0, 1.0, 11});
+  // Across [0, 10] with b = 2: x = −3 and 12.5 are farther than b.
+  ExpectSameMultiset(reach.points,
+                     std::vector<Point>{{-2.0, 5.0}, {0.0, 5.0},
+                                        {10.0, 5.0}, {12.0, 5.0}},
+                     "kept");
+  EXPECT_EQ(reach.envelope_sizes.front(), 4u);
+}
+
+TEST(ReachOrderTest, StripeRunIsThePointsReachingItsLines) {
+  const auto pts = ClusteredPoints(3000, 100.0, 5, 251);
+  const GridAxis along{-3.0, 0.7, 150};
+  const double b = 2.9;
+  const ReachOrdered reach = OrderedByReach(pts, along, b);
+  Rng rng(257);
+  for (int trial = 0; trial < 40; ++trial) {
+    int begin = static_cast<int>(rng.NextBelow(150));
+    int end = static_cast<int>(rng.NextBelow(150));
+    if (begin > end) std::swap(begin, end);
+    ++end;
+    const std::span<const Point> run =
+        ReachingRun(reach.points, along, begin, end, b);
+    std::vector<Point> reaching;
+    for (const Point& p : reach.points) {
+      for (int j = begin; j < end; ++j) {
+        if (std::abs(along.Coord(j) - p.y) <= b) {
+          reaching.push_back(p);
+          break;
+        }
+      }
+    }
+    const std::string where =
+        "lines [" + std::to_string(begin) + ", " + std::to_string(end) + ")";
+    ExpectSameMultiset(run, reaching, where);
+    // A cursor over the run yields each line's run of the whole copy.
+    SortedEnvelopeCursor whole(reach.points);
+    SortedEnvelopeCursor stripe(run);
+    for (int j = 0; j < end; ++j) {
+      const WorldY k(along.Coord(j));
+      const std::span<const Point> expected = whole.Advance(k, b);
+      if (j < begin) continue;
+      const std::span<const Point> got = stripe.Advance(k, b);
+      EXPECT_EQ(got.data(), expected.data()) << where << " line " << j;
+      EXPECT_EQ(got.size(), expected.size()) << where << " line " << j;
+      EXPECT_EQ(got.size(), reach.envelope_sizes[static_cast<size_t>(j)]);
+    }
+  }
+}
+
+TEST(ReachOrderTest, ChargesTheKeyLaneOnlyWhileItLives) {
+  const auto pts = RandomPoints(1000, 100.0, 263);
+  const GridAxis along{0.0, 1.0, 50};
+  MemoryBudget budget(size_t{1} << 30);
+  ExecContext exec;
+  exec.set_memory_budget(&budget);
+  ScopedMemoryCharge charge(&exec, "test");
+  std::vector<Point> ordered;
+  std::vector<size_t> sizes;
+  ASSERT_TRUE(OrderByReach(pts, {}, along, kWideAcross, 3.0, &charge,
+                           &ordered, &sizes)
+                  .ok());
+  const size_t copy = ordered.size() * sizeof(Point);
+  // On return: the copy and the envelope sizes (L + 1 entries' capacity).
+  EXPECT_EQ(charge.charged_bytes(), copy + 51 * sizeof(size_t));
+  // At the peak, also the key lane and the key histogram.
+  EXPECT_EQ(budget.peak_bytes(), copy + pts.size() * sizeof(uint32_t) +
+                                     (3 * 50 + 3) * sizeof(size_t));
+  // A budget below the key lane refuses before any copy is made.
+  MemoryBudget tight(pts.size() * sizeof(uint32_t));
+  ExecContext tight_exec;
+  tight_exec.set_memory_budget(&tight);
+  ScopedMemoryCharge refused(&tight_exec, "test");
+  ordered.clear();
+  EXPECT_EQ(OrderByReach(pts, {}, along, kWideAcross, 3.0, &refused,
+                         &ordered, &sizes)
+                .code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE(ordered.empty());
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ TEST(SlamBucketTest, AgreesWithSlamSortExactly) {
 }
 
 TEST(SlamBucketTest, IncrementalEnvelopeGivesSameResult) {
-  // The engine sweeps a y-sorted copy, slicing each row's envelope out of
+  // The engine sweeps a reach-ordered copy, slicing each row's envelope out of
   // it; a direct call on unsorted points rescans all n per row (Algorithm
   // 2). Same envelopes, summed in another order.
   const auto pts = ClusteredPoints(500, 60.0, 3, 271);
@@ -76,9 +76,9 @@ TEST(SlamBucketTest, SortedPointsSliceTheScansEnvelopesBitForBit) {
   // compares two scans: one of y-sorted points, and one of the same points
   // behind an extra point beyond every row's reach. The extra point leaves
   // each row's envelope, and the order the scan emits it in, as it is, so
-  // the rasters agree bit for bit. That the engine's slice of a sorted copy
-  // holds the scan's points in the scan's order is checked by
-  // SortedEnvelopeCursorTest.MatchesFindEnvelopeAtEveryRow.
+  // the rasters agree bit for bit. That the engine's slice of its
+  // reach-ordered copy holds the points the scan admits is checked by
+  // ReachOrderTest.CursorYieldsTheScansEnvelopeAtEveryLine.
   std::vector<Point> sorted = ClusteredPoints(800, 60.0, 4, 277);
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const Point& a, const Point& b) { return a.y < b.y; });

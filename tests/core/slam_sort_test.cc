@@ -50,7 +50,7 @@ TEST(SlamSortTest, MatchesBruteForceClusteredData) {
 }
 
 TEST(SlamSortTest, IncrementalEnvelopeGivesSameResult) {
-  // The engine sweeps a y-sorted copy, slicing each row's envelope out of
+  // The engine sweeps a reach-ordered copy, slicing each row's envelope out of
   // it; a direct call on unsorted points rescans all n per row (Algorithm
   // 1). Same envelopes, summed in another order.
   const auto pts = ClusteredPoints(500, 60.0, 3, 239);

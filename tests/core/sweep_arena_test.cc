@@ -83,6 +83,24 @@ TEST(SweepArenaTest, PrepareComputeSizesLanesAndCachesQx) {
   }
 }
 
+TEST(SweepArenaTest, EngineLanesGrowToExactlyTheWidestEnvelope) {
+  // A pool thread's arena serves one stripe after another. A stripe whose
+  // widest envelope is a little past the previous one's grows each
+  // per-point lane to exactly that width, not to the doubling a plain
+  // resize picks, so the arena never holds more than the call's n points'
+  // lanes (the budget pre-flight's per-stripe term).
+  SweepArena arena;
+  const GridAxis xs{0.5, 1.0, 8};
+  arena.PrepareCompute(600, xs, KernelType::kEpanechnikov);
+  arena.PrepareCompute(700, xs, KernelType::kEpanechnikov);
+  for (const std::vector<double>* lane :
+       {&arena.ex, &arena.ey, &arena.lb, &arena.ub}) {
+    EXPECT_EQ(lane->capacity(), 700u);
+  }
+  EXPECT_EQ(arena.lower_idx.capacity(), 700u);
+  EXPECT_EQ(arena.upper_idx.capacity(), 700u);
+}
+
 TEST(SweepArenaTest, HeapBytesGrowsWithLanesAndReleaseDropsToZero) {
   SweepArena arena;
   EXPECT_EQ(arena.HeapBytes(), 0u);
@@ -156,7 +174,7 @@ TEST(SweepArenaTest, ReuseAcrossComputesDoesNotBleedStaleLanes) {
   big.bandwidth = 90.0;
   big.weight = 1.0 / 3000.0;
 
-  // Through the engine each row slices a y-sorted copy; directly on the
+  // Through the engine each row slices a reach-ordered copy; directly on the
   // unsorted points each row rescans all of them. Both reuse the lanes.
   for (const bool engine : {true, false}) {
     for (const Method method : {Method::kSlamSort, Method::kSlamBucket}) {
@@ -249,7 +267,8 @@ TEST(SweepArenaTest, BudgetedComputeIsNotChargedForAnEarlierComputesCapacity) {
   small.bandwidth = 40.0;
   small.weight = 1.0 / 3000.0;
   const size_t limit =
-      2 * EstimateAuxiliarySpaceBytes(Method::kSlamBucket, 3000, 64, 48);
+      2 * EstimateAuxiliarySpaceBytes(Method::kSlamBucket, 3000, 64, 48, 1,
+                                      false);
 
   const auto unbudgeted = ComputeKdv(small, Method::kSlamBucket, {});
   ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();

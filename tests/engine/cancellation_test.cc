@@ -108,7 +108,8 @@ TEST_P(CancellationTest, BudgetBelowEstimateIsResourceExhausted) {
   const KdvTask task = MakeCancellableTask();
   const Method method = GetParam();
   const size_t estimate = EstimateAuxiliarySpaceBytes(
-      method, task.points.size(), task.grid.width(), task.grid.height());
+      method, task.points.size(), task.grid.width(), task.grid.height(), 1,
+      false);
   if (estimate == 0) {
     // SCAN needs no auxiliary space; any budget is enough.
     MemoryBudget budget(0);
@@ -146,7 +147,7 @@ TEST_P(CancellationTest, AmpleBudgetSucceedsAndReleasesEverything) {
       << MethodName(method) << " did not release its workspace charges";
   if (EstimateAuxiliarySpaceBytes(method, task.points.size(),
                                   task.grid.width(),
-                                  task.grid.height()) > 0) {
+                                  task.grid.height(), 1, false) > 0) {
     EXPECT_GT(budget.peak_bytes(), 0u)
         << MethodName(method) << " never accounted any workspace";
   }

@@ -40,9 +40,9 @@ TEST(ParallelStressTest, FirstErrorWinsHammer) {
   // race report; functionally, the injected error (never a secondary
   // Cancelled) must win every round.
   const auto pts = ClusteredPoints(500, 60.0, 3, 701);
-  // 120 rows: divisible by 2*threads for threads in 2..5, so ParallelFor
-  // cuts exactly 2*threads stripes and every armed checkpoint below is
-  // guaranteed to be reached.
+  // 120 rows, at least 2*threads for threads in 2..5, and the engine cuts
+  // exactly min(rows, 2*threads) stripes, so every armed checkpoint below
+  // is guaranteed to be reached.
   const KdvTask task = MakeStressTask(pts, 16, 120);
   Rng rng(702);
   for (int round = 0; round < 100; ++round) {

@@ -6,6 +6,7 @@
 
 #include "core/sweep_arena.h"
 #include "kdv/engine.h"
+#include "kdv/parallel.h"
 #include "testing/test_util.h"
 #include "util/exec_context.h"
 
@@ -16,15 +17,18 @@ using testing::MakeGrid;
 using testing::RandomPoints;
 
 TEST(SpaceModelTest, ScanNeedsNoAuxiliarySpace) {
-  EXPECT_EQ(EstimateAuxiliarySpaceBytes(Method::kScan, 1000000, 1280, 960),
-            0u);
+  EXPECT_EQ(
+      EstimateAuxiliarySpaceBytes(Method::kScan, 1000000, 1280, 960, 1, false),
+      0u);
 }
 
 TEST(SpaceModelTest, GrowsLinearlyInN) {
   for (const Method m : AllMethods()) {
     if (m == Method::kScan) continue;
-    const size_t small = EstimateAuxiliarySpaceBytes(m, 100000, 1280, 960);
-    const size_t large = EstimateAuxiliarySpaceBytes(m, 400000, 1280, 960);
+    const size_t small =
+        EstimateAuxiliarySpaceBytes(m, 100000, 1280, 960, 1, false);
+    const size_t large =
+        EstimateAuxiliarySpaceBytes(m, 400000, 1280, 960, 1, false);
     EXPECT_GT(large, small) << MethodName(m);
     // Theorem 4: O(n) auxiliary — quadrupling n at most ~quadruples bytes.
     EXPECT_LE(large, small * 4 + (1 << 20)) << MethodName(m);
@@ -36,7 +40,8 @@ TEST(SpaceModelTest, AllMethodsWithinSmallFactorOfEachOther) {
   size_t min_bytes = SIZE_MAX, max_bytes = 0;
   for (const Method m : AllMethods()) {
     if (m == Method::kScan) continue;
-    const size_t bytes = EstimateAuxiliarySpaceBytes(m, 1000000, 1280, 960);
+    const size_t bytes =
+        EstimateAuxiliarySpaceBytes(m, 1000000, 1280, 960, 1, false);
     min_bytes = std::min(min_bytes, bytes);
     max_bytes = std::max(max_bytes, bytes);
   }
@@ -76,9 +81,9 @@ TEST(SpaceModelTest, CoversWhatASlamComputeCharges) {
       ASSERT_TRUE(map.ok()) << map.status().ToString();
       EXPECT_GT(budget.peak_bytes(), 0u);
       EXPECT_LE(budget.peak_bytes(),
-                EstimateAuxiliarySpaceBytes(method, task.points.size(),
-                                            task.grid.width(),
-                                            task.grid.height()));
+                EstimateAuxiliarySpaceBytes(
+                    method, task.points.size(), task.grid.width(),
+                    task.grid.height(), 1, TaskFarFromOrigin(task)));
     }
   };
   const std::vector<Point> near = RandomPoints(2000, extent, /*seed=*/0x5A);
@@ -126,6 +131,69 @@ TEST(SpaceModelTest, CoversWhatASlamComputeCharges) {
   }
 }
 
+TEST(SpaceModelTest, CoversWhatEveryMethodHoldsSeriallyAndInParallel) {
+  // The pre-flight prices what a call holds: what its stripes share once
+  // (the swept copy, or the baselines' recentered copy) and each stripe's
+  // own index or arena once per stripe that can run at once. So every
+  // method's peak charge stays under it, serially and on 2, 3 and 4
+  // threads, near the origin and at 1e7 (the engine recenters), and a
+  // budget of exactly that figure never fails. Every grid here has at
+  // least 4 swept lines, so T threads run T stripes at once.
+  const double extent = 100.0;
+  const std::vector<Point> near = RandomPoints(2000, extent, /*seed=*/0x3E);
+  std::vector<Point> far = near;
+  for (Point& p : far) {
+    p.x += 1e7;
+    p.y += 1e7;
+  }
+  for (const bool recentered : {false, true}) {
+    for (const auto& [width, height] : {std::pair{96, 64}, std::pair{32, 48}}) {
+      KdvTask task;
+      task.points = recentered ? far : near;
+      task.kernel = KernelType::kEpanechnikov;
+      task.bandwidth = 20.0;
+      task.weight = 1.0 / 2000.0;
+      task.grid = MakeGrid(width, height, extent);
+      if (recentered) task.grid = task.grid.Translated(-1e7, -1e7);
+      ASSERT_EQ(TaskFarFromOrigin(task), recentered);
+      for (const Method method : AllMethods()) {
+        for (const int threads : {0, 2, 3, 4}) {
+          SCOPED_TRACE(std::string(MethodName(method)) + " " +
+                       std::to_string(width) + "x" + std::to_string(height) +
+                       (recentered ? " recentered" : "") +
+                       (threads == 0 ? " serial"
+                                     : " " + std::to_string(threads) +
+                                           " threads"));
+          const size_t estimate = EstimateAuxiliarySpaceBytes(
+              method, task.points.size(), width, height,
+              threads == 0 ? 1 : threads, recentered);
+          const auto peak_under = [&](size_t limit) {
+            MemoryBudget budget(limit);
+            ExecContext exec;
+            exec.set_memory_budget(&budget);
+            ParallelOptions options;
+            options.num_threads = threads;
+            options.engine.compute.exec = &exec;
+            const auto map =
+                threads == 0 ? ComputeKdv(task, method, options.engine)
+                             : ComputeKdvParallel(task, method, options);
+            EXPECT_TRUE(map.ok()) << map.status().ToString();
+            EXPECT_EQ(budget.used_bytes(), 0u);
+            return budget.peak_bytes();
+          };
+          // Capacity earlier computes left in this thread's arena is a
+          // thread cache (core/sweep_arena.h); start without it.
+          ThreadSweepArenaForTest().Release();
+          EXPECT_LE(peak_under(size_t{1} << 30), estimate);
+          // With the cache left in place: the arena shrinks to this
+          // compute's own lanes before its charge would be refused.
+          EXPECT_LE(peak_under(estimate), estimate);
+        }
+      }
+    }
+  }
+}
+
 TEST(SpaceModelTest, RaoColumnSweepPeaksAtTheRowSweepPlusOneLine) {
   // RAO on a tall grid sweeps the columns of the engine's one copy into the
   // one output raster, so its peak charge is the base method's on the
@@ -161,10 +229,10 @@ TEST(SpaceModelTest, RaoColumnSweepPeaksAtTheRowSweepPlusOneLine) {
 
 TEST(SpaceModelTest, RaoBucketUsesLongerAxis) {
   // Tall viewport: RAO's buckets span the (longer) y axis.
-  const size_t tall =
-      EstimateAuxiliarySpaceBytes(Method::kSlamBucketRao, 1000, 100, 100000);
-  const size_t base =
-      EstimateAuxiliarySpaceBytes(Method::kSlamBucket, 1000, 100, 100000);
+  const size_t tall = EstimateAuxiliarySpaceBytes(Method::kSlamBucketRao, 1000,
+                                                  100, 100000, 1, false);
+  const size_t base = EstimateAuxiliarySpaceBytes(Method::kSlamBucket, 1000,
+                                                  100, 100000, 1, false);
   EXPECT_GT(tall, base);
 }
 

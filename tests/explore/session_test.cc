@@ -186,10 +186,10 @@ TEST(SessionTest, RenderAdaptiveDegradesUnderMemoryPressure) {
   cfg.method = Method::kSlamBucket;
   auto session = *ExplorerSession::Create(SessionData(), cfg);
   const size_t n = session.active_data().size();
-  const size_t full = EstimateAuxiliarySpaceBytes(Method::kSlamBucket, n,
-                                                  cfg.width_px, cfg.height_px);
+  const size_t full = EstimateAuxiliarySpaceBytes(
+      Method::kSlamBucket, n, cfg.width_px, cfg.height_px, 1, false);
   const size_t half = EstimateAuxiliarySpaceBytes(
-      Method::kSlamBucket, n, cfg.width_px / 2, cfg.height_px / 2);
+      Method::kSlamBucket, n, cfg.width_px / 2, cfg.height_px / 2, 1, false);
   ASSERT_LT(half, full);
   MemoryBudget budget((half + full) / 2);
   ExecContext exec;

@@ -74,15 +74,16 @@ TEST(GridOverflowTest, SpaceModelDoesNotWrapAtIntMaxAxes) {
   for (const Method method :
        {Method::kSlamBucket, Method::kSlamSort, Method::kScan}) {
     const size_t bytes =
-        EstimateAuxiliarySpaceBytes(method, n, INT_MAX, INT_MAX);
-    EXPECT_GE(bytes, EstimateAuxiliarySpaceBytes(method, n, 64, 64))
+        EstimateAuxiliarySpaceBytes(method, n, INT_MAX, INT_MAX, 1, false);
+    EXPECT_GE(bytes, EstimateAuxiliarySpaceBytes(method, n, 64, 64, 1, false))
         << "method " << static_cast<int>(method);
   }
   // SLAM_BUCKET's bucket lane scales with X: at X = INT_MAX it alone is
   // >= (2^31 + 1) * 24 * 8 bytes ~ 384 GiB. The estimate must reflect
   // that, not a wrapped 32-bit remainder.
   const size_t bucket_bytes =
-      EstimateAuxiliarySpaceBytes(Method::kSlamBucket, n, INT_MAX, 64);
+      EstimateAuxiliarySpaceBytes(Method::kSlamBucket, n, INT_MAX, 64, 1,
+                                  false);
   EXPECT_GT(bucket_bytes,
             static_cast<size_t>(std::numeric_limits<int32_t>::max()));
 }

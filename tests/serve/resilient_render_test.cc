@@ -125,10 +125,10 @@ TEST(ResilientRenderTest, MemoryPressureDegradesToHalfResolution) {
   params.height_px = 300;
   params.method = Method::kSlamBucket;
   params.degrade_mode = DegradeMode::kHalfRes;
-  const size_t full = EstimateAuxiliarySpaceBytes(Method::kSlamBucket,
-                                                  data.size(), 400, 300);
-  const size_t half = EstimateAuxiliarySpaceBytes(Method::kSlamBucket,
-                                                  data.size(), 200, 150);
+  const size_t full = EstimateAuxiliarySpaceBytes(
+      Method::kSlamBucket, data.size(), 400, 300, 1, false);
+  const size_t half = EstimateAuxiliarySpaceBytes(
+      Method::kSlamBucket, data.size(), 200, 150, 1, false);
   ASSERT_LT(half, full);
   MemoryBudget budget((half + full) / 2);
   ExecContext exec;
