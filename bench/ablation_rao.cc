@@ -1,8 +1,9 @@
 // Ablation benchmarks (google-benchmark) for the design choices DESIGN.md
 // §4 calls out:
 //  1. RAO on/off across viewport aspect ratios at constant pixel count —
-//     RAO only changes the run when Y > X, where it sweeps the min(X, Y)
-//     columns instead of the rows.
+//     RAO only changes the run where its rule (core/rao.h) sweeps columns:
+//     where they read fewer point–line pairs than the rows, stores
+//     included. That depends on the pixels' shape as well as the grid's.
 //  2. SLAM_SORT vs SLAM_BUCKET at growing n. Both names run the same
 //     passes — here, called directly, the counting sort and the run sweep
 //     (DESIGN.md §12) — so the pair measures one code path twice;
@@ -13,6 +14,7 @@
 
 #include <utility>
 
+#include "core/rao.h"
 #include "core/slam_bucket.h"
 #include "core/slam_sort.h"
 #include "data/generators.h"
@@ -29,33 +31,56 @@ const PointDataset& SharedCity() {
   return dataset;
 }
 
-/// Aspect-ratio sweep at a constant ~16k pixels. Arg pairs (X, Y).
+/// Aspect-ratio sweep at a constant ~16k pixels. Args (X, Y, RAO, and the
+/// percent of the city's width and height the region keeps, centered).
+/// LA is about 1.4 times wider than tall, so its full extent gives 128×128
+/// wide pixels (RAO sweeps columns) and 160×120 near-square ones. The two
+/// stretched regions sit on either side of the rule: tall pixels on a tall
+/// grid (rows, where Y > X would sweep columns) and wide pixels on a wide
+/// grid (columns, where Y > X would sweep rows).
 void BM_AspectRatio(benchmark::State& state) {
   const bool rao = state.range(2) != 0;
   const int width = static_cast<int>(state.range(0));
   const int height = static_cast<int>(state.range(1));
+  const double keep_x = static_cast<double>(state.range(3)) / 100.0;
+  const double keep_y = static_cast<double>(state.range(4)) / 100.0;
   const auto& ds = SharedCity();
-  const auto viewport = *Viewport::Create(ds.Extent(), width, height);
+  const BoundingBox extent = ds.Extent();
+  const Point c = extent.center();
+  const double half_w = 0.5 * keep_x * extent.width();
+  const double half_h = 0.5 * keep_y * extent.height();
+  const auto viewport =
+      *Viewport::Create(BoundingBox({c.x - half_w, c.y - half_h},
+                                    {c.x + half_w, c.y + half_h}),
+                        width, height);
   const KdvTask task =
       MakeTask(ds, viewport, KernelType::kEpanechnikov, 1500.0);
   const Method method = rao ? Method::kSlamBucketRao : Method::kSlamBucket;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ComputeKdv(task, method)->MaxValue());
   }
-  state.SetLabel(StringPrintf("%dx%d %s", width, height,
-                              rao ? "RAO" : "base"));
+  state.SetLabel(StringPrintf("%dx%d on %d%%x%d%% %s", width, height,
+                              static_cast<int>(state.range(3)),
+                              static_cast<int>(state.range(4)),
+                              rao ? (RaoWouldTranspose(task) ? "RAO columns"
+                                                             : "RAO rows")
+                                  : "base"));
 }
 BENCHMARK(BM_AspectRatio)
-    ->Args({512, 32, 0})
-    ->Args({512, 32, 1})
-    ->Args({160, 120, 0})
-    ->Args({160, 120, 1})
-    ->Args({128, 128, 0})
-    ->Args({128, 128, 1})
-    ->Args({120, 160, 0})
-    ->Args({120, 160, 1})
-    ->Args({32, 512, 0})
-    ->Args({32, 512, 1})
+    ->Args({512, 32, 0, 100, 100})
+    ->Args({512, 32, 1, 100, 100})
+    ->Args({160, 120, 0, 100, 100})
+    ->Args({160, 120, 1, 100, 100})
+    ->Args({128, 128, 0, 100, 100})
+    ->Args({128, 128, 1, 100, 100})
+    ->Args({120, 160, 0, 100, 100})
+    ->Args({120, 160, 1, 100, 100})
+    ->Args({32, 512, 0, 100, 100})
+    ->Args({32, 512, 1, 100, 100})
+    ->Args({120, 160, 0, 35, 100})
+    ->Args({120, 160, 1, 35, 100})
+    ->Args({160, 120, 0, 100, 50})
+    ->Args({160, 120, 1, 100, 50})
     ->Unit(benchmark::kMillisecond);
 
 /// The two method names at growing dataset sizes, called directly on

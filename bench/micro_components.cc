@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of SLAM's building blocks, backing
 // the ablation notes in DESIGN.md §4:
-//  * envelope discovery: paper's O(n) per-row scan vs the cursor over a
-//    y-sorted copy (SortedEnvelopeCursor, the engine's pass 1);
+//  * envelope discovery: paper's O(n) per-row scan vs the cursor over the
+//    engine's reach-ordered copy (OrderByReach and SortedEnvelopeCursor,
+//    its pass 1);
 //  * per-row endpoint ordering: a comparison sort of one row's endpoints
 //    (Algorithm 1's step, which no method runs) vs the bucketing all four
 //    SLAM methods run;
@@ -45,21 +46,30 @@ void BM_EnvelopeLinearScan(benchmark::State& state) {
 }
 BENCHMARK(BM_EnvelopeLinearScan);
 
-/// The engine's pass 1: the points sorted by y once (outside the timed
-/// loop, as the engine pays it once per compute), then one sweep of kRows
-/// lines through SortedEnvelopeCursor. Items are rows, so the time per
-/// item sets against BM_EnvelopeLinearScan's time per iteration (one row).
+/// The engine's pass 1: the points put in reach order once (outside the
+/// timed loop, as the engine pays it once per compute), then one sweep of
+/// kRows lines through SortedEnvelopeCursor. Items are rows, so the time
+/// per item sets against BM_EnvelopeLinearScan's time per iteration (one
+/// row).
 void BM_EnvelopeSortedScanner(benchmark::State& state) {
   constexpr int kRows = 480;
   const auto& ds = SharedCity();
   const double b = 600.0;
-  std::vector<Point> sorted(ds.coords().begin(), ds.coords().end());
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Point& p, const Point& q) { return p.y < q.y; });
   const GridAxis rows{ds.Extent().min().y, ds.Extent().height() / kRows,
                       kRows};
+  const GridAxis across{ds.Extent().min().x, ds.Extent().width() / kRows,
+                        kRows};
+  ScopedMemoryCharge charge(nullptr, "bench/ordered");
+  std::vector<Point> ordered;
+  std::vector<size_t> envelope_sizes;
+  if (const Status st = OrderByReach(ds.coords(), SweepFrame{}, rows, across,
+                                     b, &charge, &ordered, &envelope_sizes);
+      !st.ok()) {
+    state.SkipWithError(st.ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    SortedEnvelopeCursor cursor(sorted);
+    SortedEnvelopeCursor cursor(ordered);
     size_t seen = 0;
     for (int i = 0; i < kRows; ++i) {
       seen += cursor.Advance(WorldY(rows.Coord(i)), b).size();

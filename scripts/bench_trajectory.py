@@ -17,10 +17,12 @@ Four pinned configs (ROADMAP item 1):
                   only) — stresses the O(X) terms, where the counting
                   sort's win over comparison sorting grows
   rao_transposed  the same points at a 360x480 grid (sweep methods
-                  only): height > width, so the RAO variants transpose
-                  the task and sweep 360 rows of 480 pixels while the
-                  non-RAO variants sweep 480 rows of 360 — the regime
-                  the paper's Section 3.6 rotation argument targets
+                  only): height > width, the regime the paper's Section
+                  3.6 rotation argument targets. The RAO variants sweep
+                  its 360 columns of 480 pixels where that reads fewer
+                  point-line pairs than the 480 rows of 360 the non-RAO
+                  variants sweep (src/core/rao.h): on a city whose
+                  pixels come out wider than tall
 
 The snapshot's top-level "methods" key mirrors configs.table7_default
 so older tooling (and older snapshots) keep comparing like for like.

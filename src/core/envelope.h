@@ -55,7 +55,7 @@ class SortedEnvelopeCursor {
 
 /// The frame a sweep runs in: an input point shifted by −shift (the
 /// engine's recentering), then with x and y swapped when the swept lines
-/// are columns of the output (RAO on a tall grid).
+/// are columns of the output (RAO's column sweep, core/rao.h).
 struct SweepFrame {
   Point shift{0.0, 0.0};
   bool transposed = false;

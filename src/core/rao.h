@@ -1,20 +1,73 @@
-// Resolution-Aware Optimization (paper Section 3.6): a line sweep pays its
-// per-line cost once per swept line, so sweep along whichever axis has
-// MORE pixels — i.e. iterate over the min(X, Y) lines. RAO is therefore
-// only the engine's choice of sweep axis: on a tall grid (Y > X) its one
-// copy of the points is written with x and y swapped and the shared driver
-// stores each swept line down a column of the output
-// (SweptLines::kColumns, core/sweep_rows.h). Exact; lowers the complexity
-// to O(min(X,Y) (max(X,Y) + n)) per Theorem 3 with the bucket sweep.
+// Resolution-Aware Optimization (paper Section 3.6) is the engine's choice
+// of sweep axis: rows, or columns of the output. The paper sweeps columns
+// when Y > X, because each of its lines scans all n points, so fewer lines
+// means less n-dependent work. The engine's lines instead slice their
+// envelopes out of one reach-ordered copy (DESIGN.md §4 item 4), so what a
+// sweep reads is Σ m_j ≈ n·min(L, 2b/gap) envelope points: it depends on
+// the gap between the lines, not on how many there are. RAO therefore
+// sweeps the axis with fewer point–line pairs. Columns also pay for their
+// strided stores down the raster. When every line sees every point
+// (2b/gap >= L on both axes), the rule is the paper's Y > X up to that
+// store term. A column sweep writes the one copy with x and y swapped, and
+// ComputeEndpointSweep stores each swept line down a column of the output
+// (SweptLines::kColumns, core/sweep_rows.h). Either axis is exact.
 #pragma once
+
+#include <algorithm>
 
 #include "kdv/task.h"
 
 namespace slam {
 
-/// True when RAO sweeps columns instead of rows (Y > X).
+/// What a column costs per pixel to store, in units of the line work of
+/// one envelope point. StoreColumn writes down the raster with a stride of
+/// X doubles: 5–12 ns per pixel in isolation, about 0.4–0.9 of an envelope
+/// point. Timings of both axes on LA's near-square Epanechnikov tasks fit
+/// 0.76 (DESIGN.md §4 item 2). An envelope point's work grows with the
+/// kernel's channels, so uniform tasks would fit about 1 and quartic ones
+/// about 0.5.
+inline constexpr double kColumnStoreWork = 0.75;
+
+/// True when RAO sweeps columns instead of rows: when the columns'
+/// point–line pairs plus their stores come to less than the rows' pairs.
+/// Ties go to rows. Only the points the engine's copy keeps count, those
+/// within b of the grid on both axes (DESIGN.md §6): on a zoomed or panned
+/// view the rest reach no line. A kept point reaches the lines within b of
+/// it: about 2b/gap of them, fewer near the grid's edge, and at most all L.
+/// Away from the edges n kept points therefore make n·min(L, 2b/gap)
+/// pairs. A NaN point is never kept, so sanitizing does not change the
+/// answer. One pass over the points, no allocation.
 inline bool RaoWouldTranspose(const KdvTask& task) {
-  return task.grid.height() > task.grid.width();
+  const Grid& grid = task.grid;
+  const double b = task.bandwidth;
+  const GridAxis& x = grid.x_axis();
+  const GridAxis& y = grid.y_axis();
+  // Kept: within b of the first and last pixel centres on both axes.
+  const double x_keep_lo = x.Coord(0) - b;
+  const double x_keep_hi = x.last() + b;
+  const double y_keep_lo = y.Coord(0) - b;
+  const double y_keep_hi = y.last() + b;
+  // Each line owns the gap centred on it, so the length of [s − b, s + b]
+  // inside an axis's span, half a gap beyond those centres, is about a
+  // gap per line within b of s. A kept point's interval overlaps the span
+  // by at least half a gap, so the length needs no clamp at zero.
+  const double x_lo = x.Coord(0) - 0.5 * x.gap;
+  const double x_hi = x.last() + 0.5 * x.gap;
+  const double y_lo = y.Coord(0) - 0.5 * y.gap;
+  const double y_hi = y.last() + 0.5 * y.gap;
+  double row_reach = 0.0;
+  double column_reach = 0.0;
+  for (const Point& p : task.points) {
+    const bool kept = p.x >= x_keep_lo && p.x <= x_keep_hi &&
+                      p.y >= y_keep_lo && p.y <= y_keep_hi;
+    const double y_reach = std::min(p.y + b, y_hi) - std::max(p.y - b, y_lo);
+    const double x_reach = std::min(p.x + b, x_hi) - std::max(p.x - b, x_lo);
+    row_reach += kept ? y_reach : 0.0;
+    column_reach += kept ? x_reach : 0.0;
+  }
+  return column_reach / x.gap +
+             kColumnStoreWork * static_cast<double>(grid.pixel_count()) <
+         row_reach / y.gap;
 }
 
 }  // namespace slam

@@ -36,7 +36,7 @@ inline constexpr SweepMethodLabels kSlamBucketLabels = {
 /// Which lines of the output the sweep's lines are. The task is always in
 /// the sweep frame, with lines along its x axis stacked along its y axis.
 /// kRows: swept line i is row i of an output shaped like the task's grid.
-/// kColumns (RAO on a tall grid, the task being the transposed problem):
+/// kColumns (RAO's column sweep, the task being the transposed problem):
 /// swept line i is column i of an output shaped like the transposed grid.
 enum class SweptLines { kRows, kColumns };
 

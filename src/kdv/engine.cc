@@ -252,7 +252,8 @@ Result<DensityMap> RunEngine(const KdvTask& task, Method method,
           ? Point{run_task.grid.x_axis().Coord(run_task.grid.width() / 2),
                   run_task.grid.y_axis().Coord(run_task.grid.height() / 2)}
           : Point{0.0, 0.0};
-  // RAO's choice of sweep axis: columns on a tall grid.
+  // RAO's choice of sweep axis: columns when they read fewer point–line
+  // pairs, stores included (core/rao.h).
   const SweptLines lines = MethodIsRao(method) && RaoWouldTranspose(run_task)
                                ? SweptLines::kColumns
                                : SweptLines::kRows;
@@ -388,7 +389,9 @@ size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
   // 2n/32 + 2 nodes, and a median split into leaves of at most 32 points
   // needs fewer than twice that, so their lane doubles at most once. The
   // quadtree's lane doubles from empty, to at most twice its node count;
-  // QUAD_NODES_PLACEHOLDER
+  // QUAD's node lane is priced at four times the tree reserve, which covers
+  // the uniform test data and the four cities but not every distribution
+  // (DESIGN.md §5).
   const size_t tree_nodes = 2 * (2 * n / 32 + 2);
   const size_t kd_tree = n * point_bytes + tree_nodes * 160;  // KdTree::Node
   size_t per_stripe = 0;
@@ -413,10 +416,13 @@ size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
     case Method::kSlamSortRao:
     case Method::kSlamBucket:
     case Method::kSlamBucketRao: {
-      // RAO sweeps min(X, Y) lines of max(X, Y) pixels.
-      const bool columns = MethodIsRao(method) && height > width;
-      const size_t x = CheckedSize(columns ? height : width);
-      const size_t lines = CheckedSize(columns ? width : height);
+      // RAO's rule (core/rao.h) may sweep either axis, so its methods are
+      // priced for max(X, Y) lines of max(X, Y) pixels, plus the line lane
+      // a column is stored from.
+      const bool rao = MethodIsRao(method);
+      const int longer = std::max(width, height);
+      const size_t x = CheckedSize(rao ? longer : width);
+      const size_t lines = CheckedSize(rao ? longer : height);
       // The swept copy (one Point per kept point) is made once per call.
       // While its pass runs, the key lane (one uint32 per point) and the
       // per-line counts (3L + 3 size_t: the key histogram and the envelope
@@ -429,9 +435,8 @@ size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
       // doubles) and the bucket indices (2 int32); per pixel of a swept
       // line, X + 1 buckets of quartic's 24 doubles (12 sums and 12
       // compensation terms, the widest bucket — the estimate takes no
-      // kernel) and qx, plus the line lane a column is stored from when
-      // the lines are columns.
-      const size_t pixel_doubles = columns ? 2 : 1;
+      // kernel) and qx, plus RAO's line lane.
+      const size_t pixel_doubles = rao ? 2 : 1;
       const size_t arena =
           n * (sizeof(double) * 4 + sizeof(int32_t) * 2) +
           ((x + 1) * BucketStride(KernelType::kQuartic) + x * pixel_doubles) *

@@ -60,7 +60,8 @@ class Grid {
   Result<PixelY> ToPixelY(WorldY wy) const;
 
   /// Swaps the axes — the RAO transformation (paper Section 3.6) runs the
-  /// row sweep on the transposed problem when Y > X.
+  /// row sweep on the transposed problem when it sweeps columns
+  /// (core/rao.h).
   Grid Transposed() const {
     Grid g;
     g.x_ = y_;

@@ -1,11 +1,14 @@
 // RAO (paper Section 3.6) is the engine's choice of sweep axis, so every
-// case runs through ComputeKdv: on a tall grid the SLAM_*_RAO methods sweep
+// case runs through ComputeKdv: where columns read fewer point–line pairs
+// than rows, stores included (core/rao.h), the SLAM_*_RAO methods sweep
 // columns of the output instead of rows.
 #include "core/rao.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -23,19 +26,28 @@ using testing::ClusteredPoints;
 using testing::ExpectMapsNear;
 using testing::RandomPoints;
 
-KdvTask MakeRaoTask(const std::vector<Point>& pts, int width, int height,
-                    double extent, KernelType kernel = KernelType::kEpanechnikov) {
+/// A width×height grid over the region [0, extent_x] × [0, extent_y].
+KdvTask MakeRegionTask(const std::vector<Point>& pts, int width, int height,
+                       double extent_x, double extent_y, double bandwidth,
+                       KernelType kernel = KernelType::kEpanechnikov) {
   KdvTask task;
   task.points = pts;
   task.kernel = kernel;
-  task.bandwidth = extent / 8.0;
+  task.bandwidth = bandwidth;
   task.weight = pts.empty() ? 1.0 : 1.0 / static_cast<double>(pts.size());
-  const double gx = extent / width;
-  const double gy = extent / height;
+  const double gx = extent_x / width;
+  const double gy = extent_y / height;
   task.grid = Grid::Create(GridAxis{0.5 * gx, gx, width},
                            GridAxis{0.5 * gy, gy, height})
                   .ValueOrDie();
   return task;
+}
+
+/// A square region with b = extent / 8.
+KdvTask MakeRaoTask(const std::vector<Point>& pts, int width, int height,
+                    double extent, KernelType kernel = KernelType::kEpanechnikov) {
+  return MakeRegionTask(pts, width, height, extent, extent, extent / 8.0,
+                        kernel);
 }
 
 DensityMap Compute(const KdvTask& task, Method method,
@@ -58,10 +70,81 @@ bool BitIdentical(const DensityMap& a, const DensityMap& b) {
 }
 
 TEST(RaoTest, TransposePredicate) {
-  const std::vector<Point> pts{{1, 1}};
+  // On a square region, enough points that the column stores do not decide.
+  const auto pts = RandomPoints(1000, 10.0, 301);
   EXPECT_FALSE(RaoWouldTranspose(MakeRaoTask(pts, 20, 10, 10.0)));  // X > Y
   EXPECT_FALSE(RaoWouldTranspose(MakeRaoTask(pts, 10, 10, 10.0)));  // X == Y
   EXPECT_TRUE(RaoWouldTranspose(MakeRaoTask(pts, 10, 20, 10.0)));   // Y > X
+}
+
+TEST(RaoTest, ColumnsWhenTheyReadFewerPointLinePairs) {
+  // Each of n points reaches about 2b/gap lines and at most all L of them;
+  // columns also pay 0.75 per pixel for their stores. Where the paper's
+  // Y > X and this rule part, the rule follows the pairs.
+  struct AxisCase {
+    const char* name;
+    size_t n;
+    int width, height;
+    double extent_x, extent_y, bandwidth;
+    bool columns;
+    // Points right of the view by more than b, as on a zoomed view: they
+    // reach no line, so they count for neither axis.
+    size_t outside = 0;
+  };
+  const AxisCase cases[] = {
+      // 9.1 lines per point as rows, 13.7 as columns.
+      {"tall pixels on a tall grid", 4000, 96, 128, 14.0, 28.0, 1.0, false},
+      // 18.3 lines per point as rows, 9.1 as columns, plus 12288 for the
+      // stores.
+      {"wide pixels on a square grid", 4000, 128, 128, 28.0, 14.0, 1.0, true},
+      // gx/gy = 1.05: 90 lines per point as rows, 85.7 as columns, fewer
+      // near the edges; the 0.92M for the stores outweighs the 0.2M pairs
+      // the columns save.
+      {"near-tie, 1280x960", 62784, 1280, 960, 1344.0, 960.0, 45.0, false},
+      // Counted, four times as many points right of the view would make
+      // the pairs the columns save outweigh the stores.
+      {"near-tie, points outside the view", 62784, 1280, 960, 1344.0, 960.0,
+       45.0, false, 4 * 62784},
+      // At most 50 pairs as rows, fewer than the 150 the column stores
+      // alone cost.
+      {"few points on a tall grid", 10, 10, 20, 10.0, 10.0, 1.25, false},
+      // b beyond the extent: every line sees every point, so the axis with
+      // fewer lines reads fewer pairs, whatever the pixels' shape.
+      {"b beyond the extent, tall pixels", 1000, 20, 40, 10.0, 40.0, 100.0,
+       true},
+      {"same grid, small b", 1000, 20, 40, 10.0, 40.0, 1.0, false},
+      {"b beyond the extent, wide pixels", 1000, 40, 20, 40.0, 10.0, 100.0,
+       false},
+      {"same grid, small b", 1000, 40, 20, 40.0, 10.0, 1.0, true},
+      // 15 × 20 pairs as rows, 15 × 10 + 150 for the stores as columns.
+      {"a tie goes to rows", 15, 10, 20, 10.0, 10.0, 100.0, false},
+  };
+  for (const AxisCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto pts = RandomPoints(c.n, std::min(c.extent_x, c.extent_y), 303);
+    for (size_t i = 0; i < c.outside; ++i) {
+      const Point& p = pts[i % c.n];
+      pts.push_back({p.x + c.extent_x + 2.0 * c.bandwidth, p.y});
+    }
+    EXPECT_EQ(RaoWouldTranspose(MakeRegionTask(pts, c.width, c.height,
+                                               c.extent_x, c.extent_y,
+                                               c.bandwidth)),
+              c.columns);
+  }
+}
+
+TEST(RaoTest, PointsPastTheGridsEdgeReachFewerLines) {
+  // Unit pixels, b = 10: a point inside the square grid reaches about 20
+  // rows and 20 columns, so the stores keep rows. Moved into the 8 units
+  // right of the grid, the points are still kept (within b) and still
+  // reach about 20 rows, but only 2–10 columns, so columns read fewer
+  // pairs.
+  std::vector<Point> pts = RandomPoints(1000, 40.0, 359);
+  EXPECT_FALSE(
+      RaoWouldTranspose(MakeRegionTask(pts, 40, 40, 40.0, 40.0, 10.0)));
+  for (Point& p : pts) p.x = 40.0 + p.x / 5.0;
+  EXPECT_TRUE(
+      RaoWouldTranspose(MakeRegionTask(pts, 40, 40, 40.0, 40.0, 10.0)));
 }
 
 TEST(RaoTest, TallGridMatchesBruteForce) {
@@ -132,6 +215,55 @@ TEST(RaoTest, ExtremeAspectRatio) {
   ExpectMapsNear(BruteForceDensity(task), out, 1e-9);
 }
 
+TEST(RaoTest, KeepsRowsOnATallGridBitForBit) {
+  // Where the rule keeps rows on a tall grid, the RAO methods run their
+  // base method's sweep: the same copy and the same lines, so every pixel
+  // matches to the bit. The last case adds 200 NaN points and 200 points
+  // left of the view by more than b. Counted, they would tip the rule to
+  // columns, but none is within b of the grid, so the rule leaves them out
+  // as the engine's copy does.
+  struct RowsCase {
+    std::vector<Point> points;
+    size_t outside;
+    int width, height;
+    double extent_x, extent_y, bandwidth;
+  };
+  const auto few = ClusteredPoints(50, 10.0, 2, 353);
+  const RowsCase cases[] = {
+      {ClusteredPoints(4000, 14.0, 4, 349), 0, 96, 128, 14.0, 28.0, 1.0},
+      {few, 0, 10, 20, 10.0, 10.0, 1.25},
+      {few, 200, 10, 20, 10.0, 10.0, 1.25},
+  };
+  EngineOptions options;
+  options.sanitize = true;
+  for (const RowsCase& c : cases) {
+    std::vector<Point> points = c.points;
+    points.insert(points.end(), c.outside, Point{std::nan(""), 1.0});
+    points.insert(points.end(), c.outside, Point{-100.0, 1.0});
+    for (const KernelType kernel :
+         {KernelType::kUniform, KernelType::kEpanechnikov,
+          KernelType::kQuartic}) {
+      KdvTask task = MakeRegionTask(c.points, c.width, c.height, c.extent_x,
+                                    c.extent_y, c.bandwidth, kernel);
+      ASSERT_GT(task.grid.height(), task.grid.width());
+      ASSERT_FALSE(RaoWouldTranspose(task));
+      task.points = points;
+      ASSERT_FALSE(RaoWouldTranspose(task));
+      for (const auto& [rao, base] :
+           {std::pair{Method::kSlamSortRao, Method::kSlamSort},
+            std::pair{Method::kSlamBucketRao, Method::kSlamBucket}}) {
+        SCOPED_TRACE(std::string(MethodName(rao)) + " " +
+                     std::to_string(points.size()) + " points " +
+                     std::to_string(c.width) + "x" +
+                     std::to_string(c.height) + " " +
+                     std::string(KernelTypeName(kernel)));
+        EXPECT_TRUE(BitIdentical(Compute(task, rao, options),
+                                 Compute(task, base, options)));
+      }
+    }
+  }
+}
+
 TEST(RaoTest, ColumnSweepIsTheTransposedRowSweepBitForBit) {
   // Sweeping columns is the base method's row sweep of the transposed
   // task, stored down the columns: the same copy, the same order, the same
@@ -139,8 +271,15 @@ TEST(RaoTest, ColumnSweepIsTheTransposedRowSweepBitForBit) {
   // every backend.
   const double extent = 60.0;
   const auto near = ClusteredPoints(500, extent, 4, 347);
-  for (const auto& [width, height] :
-       {std::pair{12, 48}, std::pair{37, 91}, std::pair{2, 128}}) {
+  // The last grid is square, on a region twice as wide as tall: its
+  // pixels are twice as wide as tall, so the rule sweeps its columns.
+  struct Shape {
+    int width, height;
+    double extent_x;
+  };
+  for (const auto& [width, height, extent_x] :
+       {Shape{12, 48, extent}, Shape{37, 91, extent}, Shape{2, 128, extent},
+        Shape{32, 32, 2 * extent}}) {
     for (const double offset : {0.0, 1e7, -1e7}) {
       std::vector<Point> pts = near;
       for (Point& p : pts) {
@@ -150,7 +289,8 @@ TEST(RaoTest, ColumnSweepIsTheTransposedRowSweepBitForBit) {
       for (const KernelType kernel :
            {KernelType::kUniform, KernelType::kEpanechnikov,
             KernelType::kQuartic}) {
-        KdvTask task = MakeRaoTask(pts, width, height, extent, kernel);
+        KdvTask task = MakeRegionTask(pts, width, height, extent_x, extent,
+                                      extent / 8.0, kernel);
         task.grid = task.grid.Translated(-offset, offset);
         ASSERT_TRUE(RaoWouldTranspose(task));
         ASSERT_EQ(TaskFarFromOrigin(task), offset != 0.0);

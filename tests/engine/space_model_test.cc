@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/rao.h"
 #include "core/sweep_arena.h"
 #include "kdv/engine.h"
 #include "kdv/parallel.h"
@@ -224,6 +225,54 @@ TEST(SpaceModelTest, RaoColumnSweepPeaksAtTheRowSweepPlusOneLine) {
               peak_bytes(transposed.task(), Method::kSlamBucket) +
                   sizeof(double) * static_cast<size_t>(task.grid.height()))
         << "b=" << bandwidth;
+  }
+}
+
+TEST(SpaceModelTest, CoversARaoColumnSweepOfASquareGrid) {
+  // On a region twice as wide as tall, a square grid's pixels are twice as
+  // wide as tall, so RAO's rule sweeps its columns (core/rao.h). The
+  // pre-flight prices either axis for the RAO methods, so their peak stays
+  // under it and a budget of exactly that figure succeeds, serially and on
+  // 2 threads. The points lie in a 2-wide strip down the middle, so the
+  // columns there see every point and the peak meets the estimate to the
+  // byte, the line lane a column is stored from included.
+  std::vector<Point> points = RandomPoints(2000, 100.0, /*seed=*/0x4D);
+  for (Point& p : points) p.x = 99.0 + p.x / 50.0;
+  for (const double bandwidth : {4.0, 10.0}) {
+    KdvTask task;
+    task.points = points;
+    task.kernel = KernelType::kQuartic;
+    task.bandwidth = bandwidth;
+    task.weight = 1.0 / 2000.0;
+    task.grid = Grid::Create(GridAxis{200.0 / 96, 200.0 / 48, 48},
+                             GridAxis{100.0 / 96, 100.0 / 48, 48})
+                    .ValueOrDie();
+    ASSERT_TRUE(RaoWouldTranspose(task));
+    for (const Method method : {Method::kSlamSortRao, Method::kSlamBucketRao}) {
+      for (const int threads : {0, 2}) {
+        SCOPED_TRACE(std::string(MethodName(method)) + " b=" +
+                     std::to_string(bandwidth) +
+                     (threads == 0 ? " serial" : " 2 threads"));
+        const size_t estimate = EstimateAuxiliarySpaceBytes(
+            method, points.size(), 48, 48, threads == 0 ? 1 : threads, false);
+        const auto peak_under = [&](size_t limit) {
+          ThreadSweepArenaForTest().Release();
+          MemoryBudget budget(limit);
+          ExecContext exec;
+          exec.set_memory_budget(&budget);
+          ParallelOptions options;
+          options.num_threads = threads;
+          options.engine.compute.exec = &exec;
+          const auto map = threads == 0
+                               ? ComputeKdv(task, method, options.engine)
+                               : ComputeKdvParallel(task, method, options);
+          EXPECT_TRUE(map.ok()) << map.status().ToString();
+          return budget.peak_bytes();
+        };
+        EXPECT_LE(peak_under(size_t{1} << 30), estimate);
+        EXPECT_LE(peak_under(estimate), estimate);
+      }
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/rao.h"
 #include "kdv/engine.h"
 #include "kdv/parallel.h"
 #include "kdv/task.h"
@@ -318,18 +319,26 @@ TEST(OraclePropertyTest, SweepMethodsStableWithoutEngineRecentering) {
 /// its coordinate to the fourth power (1e32 at 1e8). Once two of them
 /// share a line, their sum rounds, the rounding error lands in the
 /// compensation lanes, and the quartic channels cancel to noise at that
-/// scale. The engine's copy drops such points (DESIGN.md §6). Wide grids
-/// sweep rows, so the far points sit at a far x in one row band; tall
-/// grids are swept along columns by the RAO methods, so the mirrored case
-/// puts them at a far y in one column band.
+/// scale. The engine's copy drops such points (DESIGN.md §6). The wide
+/// grid's unit pixels sweep rows, so the far points sit at a far x in one
+/// row band. The tall grid's pixels are twice as wide as tall, so the RAO
+/// methods sweep its columns (core/rao.h) and the mirrored case puts the
+/// far points at a far y in one column band.
 TEST(OraclePropertyTest, FarPointsAcrossTheSweptAxisAddNothing) {
   for (const bool tall : {false, true}) {
-    const int width = tall ? 80 : 100;
-    const int height = tall ? 100 : 80;
+    const double extent_x = tall ? 80.0 : 100.0;
+    const double extent_y = tall ? 100.0 : 80.0;
+    // Rows read 20 lines per point on either grid. The tall grid's 40
+    // columns read 10, plus 0.75 per pixel for their stores.
+    const Grid grid =
+        (tall ? Grid::Create(GridAxis{1.0, 2.0, 40}, GridAxis{0.5, 1.0, 100})
+              : Grid::Create(GridAxis{0.5, 1.0, 100}, GridAxis{0.5, 1.0, 80}))
+            .ValueOrDie();
     std::vector<Point> points;
     Rng rng(0xFA7);
     for (int i = 0; i < 2000; ++i) {
-      points.push_back({rng.Uniform(0.0, width), rng.Uniform(0.0, height)});
+      points.push_back(
+          {rng.Uniform(0.0, extent_x), rng.Uniform(0.0, extent_y)});
     }
     const size_t in_view = points.size();
     for (const double far : {-1e8, -1e9}) {
@@ -347,9 +356,8 @@ TEST(OraclePropertyTest, FarPointsAcrossTheSweptAxisAddNothing) {
         task.kernel = kernel;
         task.bandwidth = 10.0;
         task.weight = 1.0 / 2000.0;
-        task.grid = Grid::Create(GridAxis{0.5, 1.0, width},
-                                 GridAxis{0.5, 1.0, height})
-                        .ValueOrDie();
+        task.grid = grid;
+        ASSERT_EQ(RaoWouldTranspose(task), tall);
         const auto reference = ReferenceScan(task);
         ASSERT_TRUE(reference.ok());
         for (const Method method :
@@ -359,8 +367,9 @@ TEST(OraclePropertyTest, FarPointsAcrossTheSweptAxisAddNothing) {
               task, method, ExactEngineOptions(), *reference);
           ASSERT_TRUE(report.ok()) << MethodName(method);
           EXPECT_LE(report->max_rel_error, kMaxRelError)
-              << MethodName(method) << " " << width << "x" << height
-              << " far " << far << " " << KernelTypeName(kernel);
+              << MethodName(method) << " " << grid.width() << "x"
+              << grid.height() << " far " << far << " "
+              << KernelTypeName(kernel);
         }
       }
     }
