@@ -5,11 +5,15 @@
 //     where they read fewer point–line pairs than the rows, stores
 //     included. That depends on the pixels' shape as well as the grid's.
 //  2. SLAM_SORT vs SLAM_BUCKET at growing n. Both names run the same
-//     passes — here, called directly, the counting sort and the run sweep
-//     (DESIGN.md §12) — so the pair measures one code path twice;
+//     passes — here, called directly, Lemma 1's scan, the counting sort
+//     and the run sweep (DESIGN.md §12), which run the scalar reference on
+//     every backend — so the pair measures one code path twice;
 //     Algorithm 1's comparison sort is not in the code (ROADMAP item 3).
 //  3. The engine's sorted envelope slices and bucket sums vs the paper's
-//     per-row scan with the direct entry's counting sort.
+//     per-row scan with the direct entry's counting sort, both on the
+//     scalar backend, so the pair compares strategies and not backends.
+//  4. Aggregate arity: the engine's cost per kernel, at paper Table 4's 1,
+//     4 or 9 aggregate values.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -20,6 +24,7 @@
 #include "data/generators.h"
 #include "data/sampling.h"
 #include "kdv/engine.h"
+#include "simd/dispatch.h"
 #include "util/string_util.h"
 
 namespace slam {
@@ -84,8 +89,9 @@ BENCHMARK(BM_AspectRatio)
     ->Unit(benchmark::kMillisecond);
 
 /// The two method names at growing dataset sizes, called directly on
-/// unsorted points: both scan every point per row and bucket the
-/// endpoints, so their times should agree within noise.
+/// unsorted points: both scan every point per row, counting-sort the
+/// endpoints and run the row sweep, so their times should agree within
+/// noise.
 void BM_SortVsBucket(benchmark::State& state) {
   const bool bucket = state.range(1) != 0;
   const auto& full = SharedCity();
@@ -118,24 +124,28 @@ BENCHMARK(BM_SortVsBucket)
 /// row's envelope a slice of it). Both are exact; building the copy is
 /// inside the timed region. The engine's lines also keep bucket sums where
 /// the direct call counting-sorts endpoints and runs the row sweep, so the
-/// pair times both differences together.
+/// pair times both differences together. The direct entry's scan, sort and
+/// row sweep run the scalar reference on every backend, so both arms are
+/// pinned to it.
 void BM_EnvelopeStrategy(benchmark::State& state) {
   const bool sliced = state.range(0) != 0;
   const auto& ds = SharedCity();
   const auto viewport = *Viewport::Create(ds.Extent(), 160, 120);
   const KdvTask task =
       MakeTask(ds, viewport, KernelType::kEpanechnikov, 1500.0);
+  EngineOptions scalar;
+  scalar.compute.simd = SimdLevel::kScalar;
   DensityMap out;
   for (auto _ : state) {
     if (sliced) {
-      auto map = ComputeKdv(task, Method::kSlamBucket);
+      auto map = ComputeKdv(task, Method::kSlamBucket, scalar);
       if (!map.ok()) {
         state.SkipWithError(map.status().ToString().c_str());
         break;
       }
       out = *std::move(map);
     } else {
-      const Status st = ComputeSlamBucket(task, {}, &out);
+      const Status st = ComputeSlamBucket(task, scalar.compute, &out);
       if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     }
     benchmark::DoNotOptimize(out.MaxValue());
@@ -144,18 +154,20 @@ void BM_EnvelopeStrategy(benchmark::State& state) {
 }
 BENCHMARK(BM_EnvelopeStrategy)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// Aggregate arity cost: the same sweep under each kernel decomposition
-/// (1 vs 4 vs 9 aggregate values, paper Table 4).
+/// Aggregate arity cost: the engine's sweep under each kernel
+/// decomposition (1 vs 4 vs 9 aggregate values, paper Table 4).
 void BM_KernelArity(benchmark::State& state) {
   const KernelType kernel = static_cast<KernelType>(state.range(0));
   const auto& ds = SharedCity();
   const auto viewport = *Viewport::Create(ds.Extent(), 160, 120);
   const KdvTask task = MakeTask(ds, viewport, kernel, 1500.0);
-  DensityMap out;
   for (auto _ : state) {
-    const Status st = ComputeSlamBucket(task, {}, &out);
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
-    benchmark::DoNotOptimize(out.MaxValue());
+    auto map = ComputeKdv(task, Method::kSlamBucket);
+    if (!map.ok()) {
+      state.SkipWithError(map.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(map->MaxValue());
   }
   state.SetLabel(std::string(KernelTypeName(kernel)));
 }

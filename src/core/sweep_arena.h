@@ -93,9 +93,9 @@ struct SweepArena {
 
   /// The direct entry's per-compute lanes: envelope lanes to all
   /// `envelope_lanes` points the rows scan (the dispatched filter writes
-  /// survivors through a raw cursor, whole registers at a time — see
-  /// SimdOps::envelope_filter), offset/cursor arrays to the pixel axis, and
-  /// qx. The engine's bucket and line lanes are emptied.
+  /// survivors through a raw cursor — see SimdOps::envelope_filter),
+  /// offset/cursor arrays to the pixel axis, and qx. The engine's bucket
+  /// and line lanes are emptied.
   void PrepareCompute(size_t envelope_lanes, const GridAxis& xs);
 
   /// Sizes the direct entry's per-row endpoint lanes for `num_endpoints`
@@ -107,8 +107,8 @@ struct SweepArena {
   size_t HeapBytes() const;
 
   /// Frees the capacity beyond every lane's current size and the row
-  /// sweep's scratch (which the next row_sweep regrows), keeping the
-  /// contents of the sized lanes: what remains is what this compute uses.
+  /// sweep's scratch (which no backend grows), keeping the contents of the
+  /// sized lanes: what remains is what this compute uses.
   void ShrinkToFit();
 
   /// Frees every lane (and invalidates the qx cache) so a failed budget

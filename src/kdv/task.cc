@@ -16,7 +16,7 @@ namespace {
 /// std::isfinite yet overflows the fourth-power aggregate moments, turning
 /// the closed-form sweep into NaN with no error anywhere.
 bool PointAcceptable(const Point& p) {
-  return CheckCoordinate(p.x, "x").ok() && CheckCoordinate(p.y, "y").ok();
+  return CoordinateInRange(p.x) && CoordinateInRange(p.y);
 }
 
 }  // namespace

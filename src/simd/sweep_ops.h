@@ -15,7 +15,10 @@
 //     matters, so no endpoint is ever put in order.
 //
 // The direct ComputeSlamSort / ComputeSlamBucket entry (ComputeDirectSweep)
-// keeps Lemma 1's scan and the counting sort, five passes per row:
+// keeps Lemma 1's scan and the counting sort, five passes per row. No
+// workload calls it; passes 1, 4 and 5 run the scalar reference on every
+// backend, and stay in the table for the benchmark's replay until the
+// direct entry is deleted:
 //   1. envelope_filter — E(k) membership test over all points, emitting the
 //      survivors as SoA coordinate lanes (x[], y[]).
 //   2. bound_intervals, 3. bucket_indices — as above.
@@ -35,7 +38,9 @@
 // rounding error of the addition, so they are interchangeable bit for
 // bit) — and are held to the scalar path and the long-double oracle at
 // 1e-9 by tests/simd/simd_equivalence_test.cc,
-// tests/simd/bucket_sweep_test.cc and fuzz/target_differential.cc.
+// tests/simd/bucket_sweep_test.cc and fuzz/target_differential.cc. Only
+// bound_intervals, bucket_indices and (AVX2) bucket_sweep have vector
+// forms.
 #pragma once
 
 #include <cstdint>
@@ -149,9 +154,10 @@ struct BucketSweepArgs {
   double* out = nullptr;      // densities, length `width`
 };
 
-/// Reusable scratch for the two-pass vector backends (pass 1 snapshots the
-/// per-pixel aggregate differences into interleaved lanes, pass 2 evaluates
-/// the polynomial across pixels). The scalar backend never touches it.
+/// row_sweep's scratch argument. No backend grows it: the scalar
+/// reference, which every table runs, never touches it. It stays, with the
+/// arena's `scratch` member, for the benchmark's replay until the direct
+/// entry is deleted.
 struct RowSweepScratch {
   std::vector<double> lanes;
 
@@ -166,12 +172,9 @@ struct SimdOps {
 
   /// Writes the points of E(k) = {p : |k − p.y| <= bandwidth} into the SoA
   /// lanes ex/ey in input order and returns the survivor count. The caller
-  /// sizes both lanes to points.size(): the vector backends compress whole
-  /// registers to the output cursor, so up to one full vector width beyond
-  /// the survivor count is scribbled (never past points.size()). A
-  /// per-survivor `push_back` here was the single hottest instruction path
-  /// of SLAM_BUCKET — the capacity check serializes an otherwise
-  /// data-parallel scan over all n points every row.
+  /// sizes both lanes to points.size(), so the scan writes through raw
+  /// cursors with no capacity check. The scalar reference on every
+  /// backend.
   size_t (*envelope_filter)(std::span<const Point> points, double k,
                             double bandwidth, double* ex,
                             double* ey) = nullptr;
@@ -188,14 +191,12 @@ struct SimdOps {
                          int32_t* upper_bucket) = nullptr;
 
   /// The pixel-binned counting sort; see HistogramScatterArgs. Integer-only
-  /// control flow plus an exact coordinate translation, so every backend
-  /// produces bit-identical output (the vector backends vectorize the
-  /// X-length prefix-sum pass; the count and scatter passes stay scalar —
-  /// scattered increments have no conflict-free vector form before
-  /// AVX-512 CD, and both passes are memory-bound anyway).
+  /// control flow plus an exact coordinate translation. The scalar
+  /// reference on every backend.
   void (*histogram_scatter)(const HistogramScatterArgs& args) = nullptr;
 
-  /// The row sweep proper; see RowSweepArgs.
+  /// The row sweep proper; see RowSweepArgs. The scalar reference on every
+  /// backend; it ignores `scratch`.
   void (*row_sweep)(const RowSweepArgs& args,
                     RowSweepScratch* scratch) = nullptr;
 

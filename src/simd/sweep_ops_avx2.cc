@@ -18,16 +18,16 @@
 //  * clamps are written max(x, 0) (second operand returned on equality) so
 //    ±0 results keep the scalar sign.
 //
-// Layout: row_sweep's pass 1 walks the endpoint runs keeping the entire
-// L/U SoA state (core/sweep_state.h channel order) in registers — one
-// __m256d per 4 channels, 4 (Epanechnikov) or 12 (quartic) registers total
-// — and snapshots the per-pixel channel differences into interleaved
-// scratch lanes. bucket_sweep leaves them in its bucket lane instead. Both
-// then share one evaluation that reads 4 pixels through a stride,
+// Layout: bound_intervals and bucket_indices run 4 points per operation.
+// bucket_sweep builds each point's channel vector in registers — one
+// __m256d per 4 channels (core/sweep_state.h channel order) — adds it into
+// its buckets, and leaves each pixel's channel differences in its own
+// bucket, where one evaluation reads 4 pixels through the bucket stride,
 // transposes 4×4, and evaluates the closed-form polynomial across pixels.
 // The uniform kernel needs no per-endpoint arithmetic at all: its count is
-// the difference of the run offsets, or a running sum of exact bucket
-// counts.
+// a running sum of exact bucket counts. The direct entry's envelope_filter,
+// histogram_scatter and row_sweep run the scalar reference
+// (sweep_ops_inline.h) on this backend too.
 #include "simd/sweep_ops.h"
 
 #if defined(__AVX2__)
@@ -64,92 +64,6 @@ inline void Transpose4x4(__m256d r0, __m256d r1, __m256d r2, __m256d r3,
   c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
   c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
   c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-
-// ---------------------------------------------------------------------------
-// envelope_filter
-// ---------------------------------------------------------------------------
-
-// Left-packing permutations for the compressed envelope store, indexed by
-// the RAW movemask of the unpacked register (whose lanes are in point
-// order 0,2,1,3): entry [mask][...] lists the 32-bit lane pairs of the
-// surviving doubles in ascending *point* order, for
-// _mm256_permutevar8x32_ps (AVX2 has no double compress; permuting the
-// float view is the standard workaround). Folding the 0,2,1,3 -> 0,1,2,3
-// reorder into the table saves two cross-lane permutes per iteration —
-// shuffle-port throughput is what bounds this loop. Trailing slots are
-// don't-cares (zero).
-//
-// Lane L of the unpacked register holds point {0,2,1,3}[L], so mask bit
-// 0,1,2,3 is point 0,2,1,3; each table entry lists lane pairs (2L, 2L+1)
-// of the set bits' lanes, ordered by point index.
-alignas(32) constexpr int32_t kCompressLut[16][8] = {
-    {0, 0, 0, 0, 0, 0, 0, 0},   // ----
-    {0, 1, 0, 0, 0, 0, 0, 0},   // p0
-    {2, 3, 0, 0, 0, 0, 0, 0},   // p2        (bit 1 = lane 1 = point 2)
-    {0, 1, 2, 3, 0, 0, 0, 0},   // p0 p2
-    {4, 5, 0, 0, 0, 0, 0, 0},   // p1        (bit 2 = lane 2 = point 1)
-    {0, 1, 4, 5, 0, 0, 0, 0},   // p0 p1
-    {4, 5, 2, 3, 0, 0, 0, 0},   // p1 p2  -> lanes 2, 1
-    {0, 1, 4, 5, 2, 3, 0, 0},   // p0 p1 p2
-    {6, 7, 0, 0, 0, 0, 0, 0},   // p3
-    {0, 1, 6, 7, 0, 0, 0, 0},   // p0 p3
-    {2, 3, 6, 7, 0, 0, 0, 0},   // p2 p3
-    {0, 1, 2, 3, 6, 7, 0, 0},   // p0 p2 p3
-    {4, 5, 6, 7, 0, 0, 0, 0},   // p1 p3
-    {0, 1, 4, 5, 6, 7, 0, 0},   // p0 p1 p3
-    {4, 5, 2, 3, 6, 7, 0, 0},   // p1 p2 p3
-    {0, 1, 4, 5, 2, 3, 6, 7}};  // all -> lanes 0, 2, 1, 3
-
-size_t EnvelopeFilter(std::span<const Point> points, double k,
-                      double bandwidth, double* ex, double* ey) {
-  const size_t n = points.size();
-  // An empty span may have no array behind it to point into.
-  if (n == 0) return 0;
-  const double* base = &points.data()->x;  // Point is two packed doubles
-  const __m256d kv = _mm256_set1_pd(k);
-  const __m256d bv = _mm256_set1_pd(bandwidth);
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  size_t m = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // (x0 y0 x1 y1) and (x2 y2 x3 y3) -> ys in point order 0,2,1,3; the
-    // membership test runs on that raw lane order, and the compress LUT
-    // restores point order, so nothing but the two unpacks competes for
-    // the shuffle port until a survivor actually needs storing.
-    const __m256d p01 = _mm256_loadu_pd(base + 2 * i);
-    const __m256d p23 = _mm256_loadu_pd(base + 2 * i + 4);
-    const __m256d ys = _mm256_unpackhi_pd(p01, p23);
-    const __m256d ady = _mm256_andnot_pd(sign_mask, _mm256_sub_pd(kv, ys));
-    const int mask =
-        _mm256_movemask_pd(_mm256_cmp_pd(ady, bv, _CMP_LE_OQ));
-    // No skip branch: with scattered survivors a "skip empty packs" branch
-    // is data-dependent and mispredicts its way to ~4x the loop latency.
-    // An unconditional compress store of a mask-0 pack writes 4 don't-care
-    // lanes at the cursor and advances it by 0 — harmless, branch-free.
-    const __m256d xs = _mm256_unpacklo_pd(p01, p23);
-    const __m256i perm = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(kCompressLut[mask]));
-    // Full-register stores at the cursor: the survivors land at ex[m..),
-    // the don't-care lanes are overwritten by the next store or fall in
-    // [m, n) scratch the caller sized for exactly this purpose.
-    _mm256_storeu_pd(
-        ex + m, _mm256_castps_pd(_mm256_permutevar8x32_ps(
-                    _mm256_castpd_ps(xs), perm)));
-    _mm256_storeu_pd(
-        ey + m, _mm256_castps_pd(_mm256_permutevar8x32_ps(
-                    _mm256_castpd_ps(ys), perm)));
-    m += static_cast<size_t>(
-        __builtin_popcount(static_cast<unsigned>(mask)));
-  }
-  for (; i < n; ++i) {
-    if (std::abs(k - points[i].y) <= bandwidth) {
-      ex[m] = points[i].x;
-      ey[m] = points[i].y;
-      ++m;
-    }
-  }
-  return m;
 }
 
 // ---------------------------------------------------------------------------
@@ -214,75 +128,13 @@ void BucketIndices(const double* lb, const double* ub, size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// histogram_scatter
+// Pixel evaluation of bucket_sweep's running sums
 // ---------------------------------------------------------------------------
-
-/// Inclusive prefix sum of 8 int32 lanes: two within-128-bit-lane shifted
-/// adds, then the low lane's total carried into the high lane. Integer adds
-/// are associative, so regrouping is exact — no parity discipline needed.
-inline __m256i PrefixSum8(__m256i v) {
-  v = _mm256_add_epi32(v, _mm256_slli_si256(v, 4));
-  v = _mm256_add_epi32(v, _mm256_slli_si256(v, 8));
-  const __m256i lane_totals =
-      _mm256_shuffle_epi32(v, _MM_SHUFFLE(3, 3, 3, 3));
-  // imm 0x08: low half zeroed, high half = src low half — the low lane's
-  // running total positioned under the high lane only.
-  const __m256i carry_up =
-      _mm256_permute2x128_si256(lane_totals, lane_totals, 0x08);
-  return _mm256_add_epi32(v, carry_up);
-}
-
-void HistogramScatter(const HistogramScatterArgs& a) {
-  const size_t bins = static_cast<size_t>(a.num_pixels) + 2;
-  simd_internal::HistogramCountScalar(a);
-  // The X-length pass, 8 bins per op with a broadcast running carry. The
-  // count and scatter passes stay scalar (see the op comment in
-  // sweep_ops.h).
-  const __m256i splat_last = _mm256_set1_epi32(7);
-  for (int32_t* offsets : {a.lower_offsets, a.upper_offsets}) {
-    __m256i carry = _mm256_setzero_si256();
-    size_t b = 0;
-    for (; b + 8 <= bins; b += 8) {
-      __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(offsets + b));
-      v = _mm256_add_epi32(PrefixSum8(v), carry);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(offsets + b), v);
-      carry = _mm256_permutevar8x32_epi32(v, splat_last);
-    }
-    int32_t run = (b > 0) ? offsets[b - 1] : 0;
-    for (; b < bins; ++b) {
-      run += offsets[b];
-      offsets[b] = run;
-    }
-  }
-  simd_internal::HistogramScatterEndpointsScalar(a);
-}
-
-// ---------------------------------------------------------------------------
-// Pixel evaluation, shared by row_sweep and bucket_sweep
-// ---------------------------------------------------------------------------
-
-/// What the closed-form evaluation reads besides the channel differences:
-/// the fields RowSweepArgs and BucketSweepArgs share.
-struct PixelLine {
-  KernelType kernel;
-  int width;
-  double bandwidth;
-  double weight;
-  double qy;
-  const double* qx;
-  double* out;
-};
-
-template <typename Args>
-PixelLine LineOf(const Args& a) {
-  return {a.kernel, a.width, a.bandwidth, a.weight, a.qy, a.qx, a.out};
-}
 
 /// Scalar evaluation of pixel ix from its channel differences at `r` — the
 /// vector loops' tail.
-inline void EvaluatePixelScalar(const PixelLine& a, int ix, const double* r,
-                                int channels) {
+inline void EvaluatePixelScalar(const BucketSweepArgs& a, int ix,
+                                const double* r, int channels) {
   double d[kSweepChannelsPadded] = {};
   for (int ch = 0; ch < channels; ++ch) d[ch] = r[ch];
   a.out[ix] =
@@ -291,8 +143,8 @@ inline void EvaluatePixelScalar(const PixelLine& a, int ix, const double* r,
 }
 
 /// Epanechnikov (Eq. 5) at every pixel of the line. Pixel ix's 4 channel
-/// differences sit at lanes + ix × stride; 4 pixels per 4×4 transpose.
-void EvaluateEpan(const PixelLine& a, const double* lanes, size_t stride) {
+/// differences sit at buckets + ix × stride; 4 pixels per 4×4 transpose.
+void EvaluateEpan(const BucketSweepArgs& a, size_t stride) {
   const KernelEvalProfile prof = MakeKernelEvalProfile(a.bandwidth);
   const __m256d zero = _mm256_setzero_pd();
   const __m256d qyv = _mm256_set1_pd(a.qy);
@@ -301,7 +153,7 @@ void EvaluateEpan(const PixelLine& a, const double* lanes, size_t stride) {
   const __m256d two = _mm256_set1_pd(2.0);
   int ix = 0;
   for (; ix + 4 <= a.width; ix += 4) {
-    const double* r = lanes + static_cast<size_t>(ix) * stride;
+    const double* r = a.buckets + static_cast<size_t>(ix) * stride;
     __m256d cnt, ax, ay, sq;
     Transpose4x4(_mm256_loadu_pd(r), _mm256_loadu_pd(r + stride),
                  _mm256_loadu_pd(r + 2 * stride),
@@ -319,13 +171,13 @@ void EvaluateEpan(const PixelLine& a, const double* lanes, size_t stride) {
     _mm256_storeu_pd(a.out + ix, _mm256_max_pd(f, zero));
   }
   for (; ix < a.width; ++ix) {
-    EvaluatePixelScalar(a, ix, lanes + static_cast<size_t>(ix) * stride, 4);
+    EvaluatePixelScalar(a, ix, a.buckets + static_cast<size_t>(ix) * stride, 4);
   }
 }
 
 /// Quartic at every pixel of the line, from the 10 channel differences
-/// (padded to 12) at lanes + ix × stride.
-void EvaluateQuartic(const PixelLine& a, const double* lanes, size_t stride) {
+/// (padded to 12) at buckets + ix × stride.
+void EvaluateQuartic(const BucketSweepArgs& a, size_t stride) {
   const KernelEvalProfile prof = MakeKernelEvalProfile(a.bandwidth);
   const __m256d zero = _mm256_setzero_pd();
   const __m256d qyv = _mm256_set1_pd(a.qy);
@@ -336,7 +188,7 @@ void EvaluateQuartic(const PixelLine& a, const double* lanes, size_t stride) {
   const __m256d four = _mm256_set1_pd(4.0);
   int ix = 0;
   for (; ix + 4 <= a.width; ix += 4) {
-    const double* r0 = lanes + static_cast<size_t>(ix) * stride;
+    const double* r0 = a.buckets + static_cast<size_t>(ix) * stride;
     const double* r1 = r0 + stride;
     const double* r2 = r0 + 2 * stride;
     const double* r3 = r0 + 3 * stride;
@@ -387,150 +239,8 @@ void EvaluateQuartic(const PixelLine& a, const double* lanes, size_t stride) {
                      _mm256_max_pd(_mm256_mul_pd(wv, inner), zero));
   }
   for (; ix < a.width; ++ix) {
-    EvaluatePixelScalar(a, ix, lanes + static_cast<size_t>(ix) * stride,
+    EvaluatePixelScalar(a, ix, a.buckets + static_cast<size_t>(ix) * stride,
                         kSweepChannelCount);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// row_sweep
-// ---------------------------------------------------------------------------
-
-/// Uniform kernel: count at pixel i is exactly the difference of the run
-/// offsets (the scalar path's repeated +1.0 adds are exact integers, and
-/// the count lane's compensation terms are identically zero).
-void RowSweepUniform(const RowSweepArgs& a) {
-  const KernelEvalProfile prof = MakeKernelEvalProfile(a.bandwidth);
-  const double wob = a.weight / prof.bandwidth;
-  const __m256d wobv = _mm256_set1_pd(wob);
-  int ix = 0;
-  for (; ix + 4 <= a.width; ix += 4) {
-    const __m128i lo = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(a.lower.offsets + ix + 1));
-    const __m128i up = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(a.upper.offsets + ix + 1));
-    const __m256d cnt = _mm256_cvtepi32_pd(_mm_sub_epi32(lo, up));
-    _mm256_storeu_pd(a.out + ix, _mm256_mul_pd(wobv, cnt));
-  }
-  for (; ix < a.width; ++ix) {
-    a.out[ix] = wob * static_cast<double>(a.lower.offsets[ix + 1] -
-                                          a.upper.offsets[ix + 1]);
-  }
-}
-
-/// Epanechnikov: 4 live channels = one register per accumulator component.
-template <bool kCompensated>
-void RowSweepEpan(const RowSweepArgs& a, RowSweepScratch* scratch) {
-  scratch->lanes.resize(static_cast<size_t>(a.width) * 4);
-  double* lanes = scratch->lanes.data();
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d ls = zero, lc = zero, us = zero, uc = zero;
-  const auto accumulate = [](__m256d& sum, __m256d& comp,
-                             const EndpointRuns& runs, int32_t begin,
-                             int32_t end) {
-    for (int32_t i = begin; i < end; ++i) {
-      const double px = runs.px[i];
-      const double py = runs.py[i];
-      const double s = px * px + py * py;
-      const __m256d v = _mm256_set_pd(s, py, px, 1.0);
-      if constexpr (kCompensated) {
-        TwoSumAccumulate(sum, comp, v);
-      } else {
-        sum = _mm256_add_pd(sum, v);
-      }
-    }
-  };
-  for (int ix = 0; ix < a.width; ++ix) {
-    accumulate(ls, lc, a.lower, a.lower.offsets[ix],
-               a.lower.offsets[ix + 1]);
-    accumulate(us, uc, a.upper, a.upper.offsets[ix],
-               a.upper.offsets[ix + 1]);
-    __m256d d = _mm256_sub_pd(ls, us);
-    if constexpr (kCompensated) {
-      d = _mm256_add_pd(d, _mm256_sub_pd(lc, uc));
-    }
-    _mm256_storeu_pd(lanes + static_cast<size_t>(ix) * 4, d);
-  }
-  EvaluateEpan(LineOf(a), lanes, 4);
-}
-
-/// Quartic: 10 live channels padded to 12 = three registers per component.
-template <bool kCompensated>
-void RowSweepQuartic(const RowSweepArgs& a, RowSweepScratch* scratch) {
-  scratch->lanes.resize(static_cast<size_t>(a.width) * 12);
-  double* lanes = scratch->lanes.data();
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d ls0 = zero, ls1 = zero, ls2 = zero;
-  __m256d lc0 = zero, lc1 = zero, lc2 = zero;
-  __m256d us0 = zero, us1 = zero, us2 = zero;
-  __m256d uc0 = zero, uc1 = zero, uc2 = zero;
-  const auto accumulate = [](__m256d& s0, __m256d& s1, __m256d& s2,
-                             __m256d& c0, __m256d& c1, __m256d& c2,
-                             const EndpointRuns& runs, int32_t begin,
-                             int32_t end) {
-    for (int32_t i = begin; i < end; ++i) {
-      const double px = runs.px[i];
-      const double py = runs.py[i];
-      const double s = px * px + py * py;
-      // Channel order (core/sweep_state.h): count Ax Ay S | Cx Cy Q Mxx |
-      // Mxy Myy 0 0 — same expressions as SweepChannelValues.
-      const __m256d v0 = _mm256_set_pd(s, py, px, 1.0);
-      const __m256d v1 = _mm256_set_pd(px * px, s * s, py * s, px * s);
-      const __m256d v2 = _mm256_set_pd(0.0, 0.0, py * py, px * py);
-      if constexpr (kCompensated) {
-        TwoSumAccumulate(s0, c0, v0);
-        TwoSumAccumulate(s1, c1, v1);
-        TwoSumAccumulate(s2, c2, v2);
-      } else {
-        s0 = _mm256_add_pd(s0, v0);
-        s1 = _mm256_add_pd(s1, v1);
-        s2 = _mm256_add_pd(s2, v2);
-      }
-    }
-  };
-  for (int ix = 0; ix < a.width; ++ix) {
-    accumulate(ls0, ls1, ls2, lc0, lc1, lc2, a.lower, a.lower.offsets[ix],
-               a.lower.offsets[ix + 1]);
-    accumulate(us0, us1, us2, uc0, uc1, uc2, a.upper, a.upper.offsets[ix],
-               a.upper.offsets[ix + 1]);
-    __m256d d0 = _mm256_sub_pd(ls0, us0);
-    __m256d d1 = _mm256_sub_pd(ls1, us1);
-    __m256d d2 = _mm256_sub_pd(ls2, us2);
-    if constexpr (kCompensated) {
-      d0 = _mm256_add_pd(d0, _mm256_sub_pd(lc0, uc0));
-      d1 = _mm256_add_pd(d1, _mm256_sub_pd(lc1, uc1));
-      d2 = _mm256_add_pd(d2, _mm256_sub_pd(lc2, uc2));
-    }
-    double* row = lanes + static_cast<size_t>(ix) * 12;
-    _mm256_storeu_pd(row, d0);
-    _mm256_storeu_pd(row + 4, d1);
-    _mm256_storeu_pd(row + 8, d2);
-  }
-  EvaluateQuartic(LineOf(a), lanes, 12);
-}
-
-void RowSweep(const RowSweepArgs& a, RowSweepScratch* scratch) {
-  switch (SweepChannels(a.kernel)) {
-    case 1:
-      RowSweepUniform(a);
-      return;
-    case 4:
-      if (a.compensated) {
-        RowSweepEpan<true>(a, scratch);
-      } else {
-        RowSweepEpan<false>(a, scratch);
-      }
-      return;
-    case kSweepChannelCount:
-      if (a.compensated) {
-        RowSweepQuartic<true>(a, scratch);
-      } else {
-        RowSweepQuartic<false>(a, scratch);
-      }
-      return;
-    default:
-      simd_internal::RowSweepScalar(a, scratch);  // unreachable (Gaussian)
-      return;
   }
 }
 
@@ -545,7 +255,7 @@ void RowSweep(const RowSweepArgs& a, RowSweepScratch* scratch) {
 // point then takes one two-sum per register into its lower bucket and one,
 // negated, into its upper bucket, in slice order, so each channel sees the
 // scalar reference's sequence of adds. The running sum writes each pixel's
-// differences over its own bucket's sums, where the shared evaluation reads
+// differences over its own bucket's sums, where the evaluation above reads
 // them through the bucket stride.
 
 /// Folds v into the sums at `bucket` and, compensated, the compensation
@@ -651,7 +361,7 @@ void BucketSweepEpan(const BucketSweepArgs& a) {
     scatter(i, _mm256_set_pd(px * px + py * py, py, px, 1.0));
   }
   RunningSum<kCompensated, 1>(a);
-  EvaluateEpan(LineOf(a), a.buckets, kStride);
+  EvaluateEpan(a, kStride);
 }
 
 template <bool kCompensated>
@@ -704,7 +414,7 @@ void BucketSweepQuartic(const BucketSweepArgs& a) {
             _mm256_set_pd(0.0, 0.0, py * py, px * py));
   }
   RunningSum<kCompensated, 3>(a);
-  EvaluateQuartic(LineOf(a), a.buckets, kStride);
+  EvaluateQuartic(a, kStride);
 }
 
 void BucketSweep(const BucketSweepArgs& a) {
@@ -734,11 +444,11 @@ void BucketSweep(const BucketSweepArgs& a) {
 
 constexpr SimdOps kAvx2Ops = {
     SimdLevel::kAvx2,
-    &EnvelopeFilter,
+    &simd_internal::EnvelopeFilterScalar,
     &BoundIntervals,
     &BucketIndices,
-    &HistogramScatter,
-    &RowSweep,
+    &simd_internal::HistogramScatterScalar,
+    &simd_internal::RowSweepScalar,
     &BucketSweep,
 };
 

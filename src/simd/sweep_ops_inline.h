@@ -1,8 +1,13 @@
 // Internal to src/simd/: the scalar reference implementations of the line
 // passes, shared between the scalar backend (which uses them whole) and
-// the vector backends (which use them for remainder tails and rare slow
-// paths). Header-only so each backend translation unit compiles them with
-// its own (contraction-free) flag set.
+// the vector backends (which use them for remainder tails and for the
+// passes they leave scalar). Header-only so each backend translation unit
+// compiles them with its own (contraction-free) flag set — and with
+// internal linkage, so each unit keeps its own copy. With external linkage
+// the -mavx2 unit would emit weak VEX-encoded copies of any function it
+// does not inline, and the linker could hand one of those to the scalar
+// table. The avx2_symbols ctest (scripts/check_avx2_symbols.py) fails if
+// that unit defines a global or weak function other than GetAvx2Ops.
 //
 // Everything here mirrors the pre-SoA sweep arithmetic operation for
 // operation — see the bitwise-parity notes in sweep_ops.h. Changing an
@@ -15,7 +20,6 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/slam_bucket.h"
 #include "core/sweep_state.h"
@@ -25,6 +29,7 @@
 #include "simd/sweep_ops.h"
 
 namespace slam::simd_internal {
+namespace {
 
 inline size_t EnvelopeFilterScalar(std::span<const Point> points, double k,
                                    double bandwidth, double* ex, double* ey) {
@@ -68,18 +73,14 @@ inline void BucketIndicesScalarRange(const double* lb, const double* ub,
   }
 }
 
-// The reference counting sort (sweep_ops.h pass 4) in three passes, all
-// exact integer/translation work: histogram the bucket indices (shifted by
-// one for the exclusive scan), prefix-sum into the run offsets, then
-// scatter the endpoint coordinates — translated into the row-local frame —
-// through per-bucket cursors. The scatter preserves input order within a
-// bucket (stable), which is all the run-order-irrelevance invariant
-// (DESIGN.md §12) asks. Split into pieces so the vector backends can reuse
-// the count/scatter passes around their own prefix sums.
-
-/// Pass 1: zero both histograms and count each endpoint into the bin one
-/// past its bucket (exclusive-scan shift).
-inline void HistogramCountScalar(const HistogramScatterArgs& a) {
+/// The reference counting sort (sweep_ops.h, histogram_scatter) in three
+/// passes, all exact integer/translation work: histogram the bucket indices
+/// (shifted by one for the exclusive scan), prefix-sum into the run
+/// offsets, then scatter the endpoint coordinates — translated into the
+/// row-local frame — through per-bucket cursors. The scatter preserves
+/// input order within a bucket (stable), which is all the
+/// run-order-irrelevance invariant (DESIGN.md §12) asks.
+inline void HistogramScatterScalar(const HistogramScatterArgs& a) {
   const size_t bins = static_cast<size_t>(a.num_pixels) + 2;
   std::fill(a.lower_offsets, a.lower_offsets + bins, 0);
   std::fill(a.upper_offsets, a.upper_offsets + bins, 0);
@@ -89,16 +90,10 @@ inline void HistogramCountScalar(const HistogramScatterArgs& a) {
     ++a.lower_offsets[static_cast<size_t>(a.lower_idx[i]) + 1];
     ++a.upper_offsets[static_cast<size_t>(a.upper_idx[i]) + 1];
   }
-}
-
-/// Pass 2: in-place inclusive prefix sum over one histogram.
-inline void HistogramPrefixSumScalar(int32_t* offsets, size_t bins) {
-  for (size_t b = 1; b < bins; ++b) offsets[b] += offsets[b - 1];
-}
-
-/// Pass 3: scatter through per-bucket cursors seeded from the offsets.
-inline void HistogramScatterEndpointsScalar(const HistogramScatterArgs& a) {
-  const size_t bins = static_cast<size_t>(a.num_pixels) + 2;
+  for (size_t b = 1; b < bins; ++b) {
+    a.lower_offsets[b] += a.lower_offsets[b - 1];
+    a.upper_offsets[b] += a.upper_offsets[b - 1];
+  }
   std::copy(a.lower_offsets, a.lower_offsets + bins - 1, a.lower_cursor);
   std::copy(a.upper_offsets, a.upper_offsets + bins - 1, a.upper_cursor);
   for (size_t i = 0; i < a.n; ++i) {
@@ -111,14 +106,6 @@ inline void HistogramScatterEndpointsScalar(const HistogramScatterArgs& a) {
     a.upper_px[up] = a.ex[i] - a.origin_x;
     a.upper_py[up] = a.ey[i] - a.origin_y;
   }
-}
-
-inline void HistogramScatterScalar(const HistogramScatterArgs& a) {
-  const size_t bins = static_cast<size_t>(a.num_pixels) + 2;
-  HistogramCountScalar(a);
-  HistogramPrefixSumScalar(a.lower_offsets, bins);
-  HistogramPrefixSumScalar(a.upper_offsets, bins);
-  HistogramScatterEndpointsScalar(a);
 }
 
 /// The reference row sweep: SoA accumulators, one pixel at a time.
@@ -209,4 +196,5 @@ inline void BucketSweepScalar(const BucketSweepArgs& a) {
   }
 }
 
+}  // namespace
 }  // namespace slam::simd_internal

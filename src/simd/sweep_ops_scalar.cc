@@ -9,11 +9,6 @@ namespace slam {
 
 namespace {
 
-size_t EnvelopeFilter(std::span<const Point> points, double k,
-                      double bandwidth, double* ex, double* ey) {
-  return simd_internal::EnvelopeFilterScalar(points, k, bandwidth, ex, ey);
-}
-
 void BoundIntervals(const double* ex, const double* ey, size_t n, double k,
                     double bandwidth, double* lb, double* ub) {
   simd_internal::BoundIntervalsScalarRange(ex, ey, 0, n, k, bandwidth, lb,
@@ -27,16 +22,12 @@ void BucketIndices(const double* lb, const double* ub, size_t n,
                                           upper_bucket);
 }
 
-void HistogramScatter(const HistogramScatterArgs& args) {
-  simd_internal::HistogramScatterScalar(args);
-}
-
 constexpr SimdOps kScalarOps = {
     SimdLevel::kScalar,
-    &EnvelopeFilter,
+    &simd_internal::EnvelopeFilterScalar,
     &BoundIntervals,
     &BucketIndices,
-    &HistogramScatter,
+    &simd_internal::HistogramScatterScalar,
     &simd_internal::RowSweepScalar,
     &simd_internal::BucketSweepScalar,
 };

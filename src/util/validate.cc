@@ -32,19 +32,17 @@ Status CheckPositiveNormal(double value, std::string_view what) {
 }
 
 Status CheckCoordinate(double value, std::string_view what) {
+  if (CoordinateInRange(value)) return Status::OK();
   if (!std::isfinite(value)) {
     return Status::InvalidArgument(
         StringPrintf("%.*s is non-finite (%g)",
                      static_cast<int>(what.size()), what.data(), value));
   }
-  if (std::abs(value) > InputLimits::kMaxCoordinateMagnitude) {
-    return Status::InvalidArgument(StringPrintf(
-        "%.*s magnitude %g exceeds the %g cap (fourth-power aggregate "
-        "moments overflow beyond it)",
-        static_cast<int>(what.size()), what.data(), value,
-        InputLimits::kMaxCoordinateMagnitude));
-  }
-  return Status::OK();
+  return Status::InvalidArgument(StringPrintf(
+      "%.*s magnitude %g exceeds the %g cap (fourth-power aggregate "
+      "moments overflow beyond it)",
+      static_cast<int>(what.size()), what.data(), value,
+      InputLimits::kMaxCoordinateMagnitude));
 }
 
 Status CheckCoordinatePair(double x, double y, std::string_view what) {

@@ -70,9 +70,17 @@ struct InputLimits {
 /// Inf, which is exactly how a hostile bandwidth corrupts the sweep.
 [[nodiscard]] Status CheckPositiveNormal(double value, std::string_view what);
 
-/// A coordinate: finite and |v| <= InputLimits::kMaxCoordinateMagnitude.
-/// Subnormals are fine here (they are just tiny); use
-/// CanonicalizeCoordinate to flush them to a single representation.
+/// The coordinate rule: |v| <= InputLimits::kMaxCoordinateMagnitude, which
+/// is false for NaN and ±Inf. One comparison and no Status, so per-point
+/// loops (ValidateTask, CopyFinitePoints) can call it on every point.
+[[nodiscard]] inline bool CoordinateInRange(double value) {
+  return std::abs(value) <= InputLimits::kMaxCoordinateMagnitude;
+}
+
+/// A coordinate that CoordinateInRange accepts; the error says whether it
+/// was non-finite or over the cap. Subnormals are fine here (they are just
+/// tiny); use CanonicalizeCoordinate to flush them to a single
+/// representation.
 [[nodiscard]] Status CheckCoordinate(double value, std::string_view what);
 [[nodiscard]] Status CheckCoordinatePair(double x, double y, std::string_view what);
 

@@ -3,11 +3,11 @@
 // per-row comparison sort of SLAM_SORT; its contract is that every pixel
 // receives the identical run *set* the sort-then-merge produced — and,
 // because the scatter is stable, the identical run *sequence* a stable
-// comparison sort by bucket produces. Each case runs on every SIMD
-// backend compiled into this binary and available on this CPU, and the
-// backends are additionally held bit-identical to the scalar reference
-// (the pass is integer control flow plus an exact translation, so "close"
-// would already be a bug).
+// comparison sort by bucket produces. Each case runs through the table of
+// every SIMD backend compiled into this binary and available on this CPU.
+// Every table names the scalar reference for this pass, and the tables are
+// held bit-identical to the scalar one (the pass is integer control flow
+// plus an exact translation, so "close" would already be a bug).
 //
 // Grids here are exactly representable (origins and gaps that are powers
 // of two or exact halves), so the strict/non-strict boundary cases below
@@ -212,13 +212,13 @@ TEST_P(CountingSortEquivalenceTest, MatchesStableSortOnEveryBackend) {
 INSTANTIATE_TEST_SUITE_P(
     Workloads, CountingSortEquivalenceTest,
     ::testing::Values(
-        // Odd sizes leave remainder tails in the vectorized prefix sum.
+        // Odd point and pixel counts.
         SortCase{"Random", 257, 33, 0, 0xC0DE},
         SortCase{"HeavyTies", 300, 7, 3, 0x7135},
         SortCase{"AllOneBucket", 64, 9, 1, 0xD0D0},
         SortCase{"Empty", 0, 9, 0, 0x1},
         SortCase{"SinglePixel", 50, 1, 0, 0x51},
-        // X a multiple of every vector width, and X straddling one.
+        // Wide axes: X a power of two, and X just past one.
         SortCase{"WideAxisAligned", 100, 1024, 0, 0xA11},
         SortCase{"WideAxisTail", 100, 1027, 0, 0x7A1}),
     CaseName);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "testing/test_util.h"
+#include "util/validate.h"
 
 namespace slam {
 namespace {
@@ -54,6 +60,41 @@ TEST(ValidateTaskTest, RejectsBadWeight) {
 TEST(ValidateTaskTest, EmptyPointsAreLegal) {
   KdvTask task = ValidTask({}, MakeGrid(4, 4, 10.0));
   EXPECT_TRUE(ValidateTask(task).ok());  // zero density everywhere
+}
+
+TEST(ValidateTaskTest, PointRuleAgreesWithCheckCoordinate) {
+  // ValidateTask rejects, CopyFinitePoints drops and CheckCoordinate
+  // refuses exactly the same coordinates, on either axis.
+  constexpr double kCap = InputLimits::kMaxCoordinateMagnitude;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    double value;
+    bool accepted;
+  } cases[] = {
+      {0.0, true},
+      {-0.0, true},
+      {std::numeric_limits<double>::denorm_min(), true},
+      {kCap, true},
+      {-kCap, true},
+      {std::nextafter(kCap, kInf), false},
+      {std::nextafter(-kCap, -kInf), false},
+      {kInf, false},
+      {-kInf, false},
+      {std::numeric_limits<double>::quiet_NaN(), false},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(CheckCoordinate(c.value, "v").ok(), c.accepted) << c.value;
+    for (const bool on_x : {true, false}) {
+      SCOPED_TRACE(std::to_string(c.value) + (on_x ? " in x" : " in y"));
+      const Point odd = on_x ? Point{c.value, 1.0} : Point{1.0, c.value};
+      const std::vector<Point> pts{{1.0, 1.0}, odd};
+      EXPECT_EQ(ValidateTask(ValidTask(pts, MakeGrid(4, 4, 10.0))).ok(),
+                c.accepted);
+      std::vector<Point> kept;
+      EXPECT_EQ(CopyFinitePoints(pts, &kept), c.accepted ? 0u : 1u);
+      EXPECT_EQ(kept.size(), c.accepted ? 2u : 1u);
+    }
+  }
 }
 
 TEST(MakeTaskTest, DerivesWeightAndGrid) {

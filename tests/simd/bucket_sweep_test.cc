@@ -5,9 +5,10 @@
 //  * every backend is bit-identical to the scalar reference (the vector
 //    forms replay its adds channel by channel, in the same order);
 //  * every backend matches the direct entry's counting sort + run sweep
-//    (histogram_scatter + row_sweep) on the same inputs to 1e-9 of the
-//    line's peak — the two sum the same endpoint sets in different orders
-//    — and bit for bit for the uniform kernel, whose counts are exact.
+//    (histogram_scatter + row_sweep, which every backend runs as the
+//    scalar reference) on the same inputs to 1e-9 of the line's peak —
+//    the two sum the same endpoint sets in different orders — and bit for
+//    bit for the uniform kernel, whose counts are exact.
 // The point counts leave every vector tail (m mod 4), the widths every
 // evaluation tail, and each line has endpoints clamped into bucket 0,
 // parked at bucket X, intervals whose two endpoints share a bucket, and
