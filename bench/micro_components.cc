@@ -48,9 +48,9 @@ BENCHMARK(BM_EnvelopeLinearScan);
 
 /// The engine's pass 1: the points put in reach order once (outside the
 /// timed loop, as the engine pays it once per compute), then one sweep of
-/// kRows lines through SortedEnvelopeCursor. Items are rows, so the time
-/// per item sets against BM_EnvelopeLinearScan's time per iteration (one
-/// row).
+/// kRows lines through SortedEnvelopeCursor over the copy's y lane. Items
+/// are rows, so the time per item sets against BM_EnvelopeLinearScan's
+/// time per iteration (one row).
 void BM_EnvelopeSortedScanner(benchmark::State& state) {
   constexpr int kRows = 480;
   const auto& ds = SharedCity();
@@ -60,16 +60,17 @@ void BM_EnvelopeSortedScanner(benchmark::State& state) {
   const GridAxis across{ds.Extent().min().x, ds.Extent().width() / kRows,
                         kRows};
   ScopedMemoryCharge charge(nullptr, "bench/ordered");
-  std::vector<Point> ordered;
+  SweptCopy ordered;
   std::vector<size_t> envelope_sizes;
-  if (const Status st = OrderByReach(ds.coords(), SweepFrame{}, rows, across,
-                                     b, &charge, &ordered, &envelope_sizes);
+  if (const Status st =
+          OrderByReach(ds.coords(), SweepFrame{}, rows, across, b, nullptr,
+                       &charge, &ordered, &envelope_sizes);
       !st.ok()) {
     state.SkipWithError(st.ToString().c_str());
     return;
   }
   for (auto _ : state) {
-    SortedEnvelopeCursor cursor(ordered);
+    SortedEnvelopeCursor cursor(ordered.Lanes().y);
     size_t seen = 0;
     for (int i = 0; i < kRows; ++i) {
       seen += cursor.Advance(WorldY(rows.Coord(i)), b).size();

@@ -41,33 +41,30 @@ void FindEnvelope(std::span<const Point> points, WorldY k, double bandwidth,
   }
 }
 
-std::span<const Point> SortedEnvelopeCursor::Advance(WorldY k,
-                                                     double bandwidth) {
+LaneRange SortedEnvelopeCursor::Advance(WorldY k, double bandwidth) {
   // FindEnvelope's |k − y| <= b split at its sign (negation is exact, so
   // the two halves are the same test): drop from the front while the row
   // is more than b above the point, admit at the back while it is not
   // more than b below.
-  while (lo_ < points_.size() && k - WorldY(points_[lo_].y) > bandwidth) {
-    ++lo_;
-  }
+  while (lo_ < y_.size() && k - y_.Load(lo_) > bandwidth) ++lo_;
   // Points the front just dropped never need admitting at the back.
   hi_ = std::max(hi_, lo_);
-  while (hi_ < points_.size() && k - WorldY(points_[hi_].y) >= -bandwidth) {
-    ++hi_;
-  }
-  return points_.subspan(lo_, hi_ - lo_);
+  while (hi_ < y_.size() && k - y_.Load(hi_) >= -bandwidth) ++hi_;
+  return {lo_, hi_};
 }
 
 Status OrderByReach(std::span<const Point> points, const SweepFrame& frame,
                     const GridAxis& along, const GridAxis& across,
-                    double bandwidth, ScopedMemoryCharge* charge,
-                    std::vector<Point>* ordered,
+                    double bandwidth, const ExecContext* exec,
+                    ScopedMemoryCharge* charge, SweptCopy* copy,
                     std::vector<size_t>* envelope_sizes) {
   const double b = bandwidth;
   const size_t lines = CheckedSize(along.count);
   // Keys run over [0, 2L]; L <= INT_MAX, so the sentinel of a dropped
   // point sits above every key.
   constexpr uint32_t kDropped = std::numeric_limits<uint32_t>::max();
+  // Both loops poll before their first point and then every 2^16 points.
+  constexpr size_t kPollMask = (size_t{1} << 16) - 1;
   const size_t lane_bytes = points.size() * sizeof(uint32_t) +
                             (2 * lines + 2 + lines + 1) * sizeof(size_t);
   SLAM_RETURN_NOT_OK(charge->Update(lane_bytes));
@@ -83,6 +80,9 @@ Status OrderByReach(std::span<const Point> points, const SweepFrame& frame,
   const double across_last = across.last();
   const double reach = b / along.gap;
   for (size_t i = 0; i < points.size(); ++i) {
+    if ((i & kPollMask) == 0) {
+      SLAM_RETURN_NOT_OK(ExecCheck(exec, "engine/reach_keys"));
+    }
     const Point s = frame(points[i]);
     const double t = (s.y - along.origin) / along.gap;
     const int first = FirstLineWhere(
@@ -104,29 +104,50 @@ Status OrderByReach(std::span<const Point> points, const SweepFrame& frame,
     counts[key] += counts[key - 1];
   }
   const size_t kept = counts.back();
-  SLAM_RETURN_NOT_OK(charge->Update(lane_bytes + kept * sizeof(Point)));
-  ordered->resize(kept);
+  const size_t copy_bytes = kept * 2 * sizeof(double);
+  SLAM_RETURN_NOT_OK(charge->Update(lane_bytes + copy_bytes));
+  copy->x.resize(kept);
+  copy->y.resize(kept);
+  SweptLanes lanes = copy->Lanes();
   for (size_t i = 0; i < points.size(); ++i) {
-    if (keys[i] != kDropped) (*ordered)[counts[keys[i]]++] = frame(points[i]);
+    if ((i & kPollMask) == 0) {
+      SLAM_RETURN_NOT_OK(ExecCheck(exec, "engine/reach_scatter"));
+    }
+    if (keys[i] == kDropped) continue;
+    const Point s = frame(points[i]);
+    const size_t slot = counts[keys[i]]++;
+    lanes.x.Store(slot, WorldX(s.x));
+    lanes.y.Store(slot, WorldY(s.y));
   }
   for (size_t j = 1; j < lines; ++j) steps[j] += steps[j - 1];
   steps.resize(lines);
   std::vector<uint32_t>().swap(keys);
   std::vector<size_t>().swap(counts);
-  return charge->Update(kept * sizeof(Point) + (lines + 1) * sizeof(size_t));
+  return charge->Update(copy_bytes + (lines + 1) * sizeof(size_t));
 }
 
-std::span<const Point> ReachingRun(std::span<const Point> ordered,
-                                   const GridAxis& along, int begin, int end,
-                                   double bandwidth) {
-  const double first = along.Coord(begin);
-  const double last = along.Coord(end - 1);
-  const auto lo = std::partition_point(
-      ordered.begin(), ordered.end(),
-      [&](const Point& p) { return first - p.y > bandwidth; });
-  const auto hi = std::partition_point(
-      lo, ordered.end(),
-      [&](const Point& p) { return last - p.y >= -bandwidth; });
+LaneRange ReachingRun(TypedLane<WorldY> y, const GridAxis& along, int begin,
+                      int end, double bandwidth) {
+  const WorldY first(along.Coord(begin));
+  const WorldY last(along.Coord(end - 1));
+  // The first index in [lo, y.size()) at which `holds` turns false; it
+  // holds on a prefix of the lane.
+  const auto partition_point = [&y](size_t lo, auto holds) {
+    size_t hi = y.size();
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (holds(y.Load(mid))) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  };
+  const size_t lo =
+      partition_point(0, [&](WorldY s) { return first - s > bandwidth; });
+  const size_t hi =
+      partition_point(lo, [&](WorldY s) { return last - s >= -bandwidth; });
   return {lo, hi};
 }
 

@@ -6,11 +6,12 @@
 // sweep reads is Σ m_j ≈ n·min(L, 2b/gap) envelope points: it depends on
 // the gap between the lines, not on how many there are. RAO therefore
 // sweeps the axis with fewer point–line pairs. Columns also pay for their
-// strided stores down the raster. When every line sees every point
+// stores across the raster. When every line sees every point
 // (2b/gap >= L on both axes), the rule is the paper's Y > X up to that
 // store term. A column sweep writes the one copy with x and y swapped, and
-// ComputeEndpointSweep stores each swept line down a column of the output
-// (SweptLines::kColumns, core/sweep_rows.h). Either axis is exact.
+// ComputeEndpointSweep stores the swept lines into columns of the output,
+// kColumnBlockLines at a time (SweptLines::kColumns, core/sweep_rows.h).
+// Either axis is exact.
 #pragma once
 
 #include <algorithm>
@@ -20,12 +21,15 @@
 namespace slam {
 
 /// What a column costs per pixel to store, in units of the line work of
-/// one envelope point. StoreColumn writes down the raster with a stride of
-/// X doubles: 5–12 ns per pixel in isolation, about 0.4–0.9 of an envelope
-/// point. Timings of both axes on LA's near-square Epanechnikov tasks fit
-/// 0.76 (DESIGN.md §4 item 2). An envelope point's work grows with the
-/// kernel's channels, so uniform tasks would fit about 1 and quartic ones
-/// about 0.5.
+/// one envelope point. Fit when each line was stored alone, down the
+/// raster with a stride of X doubles: 5–12 ns per pixel in isolation,
+/// about 0.4–0.9 of an envelope point. Timings of both axes on LA's
+/// near-square Epanechnikov tasks fit 0.76 (DESIGN.md §4 item 2). An
+/// envelope point's work grows with the kernel's channels, so uniform
+/// tasks would fit about 1 and quartic ones about 0.5. Stores now go in
+/// blocks of 8 lines, a row of each block at a time, at a fifth to a half
+/// of that cost in the copy loop alone; the weight is not refit yet
+/// (ROADMAP item 8), so the rule still picks the axes it picked.
 inline constexpr double kColumnStoreWork = 0.75;
 
 /// True when RAO sweeps columns instead of rows: when the columns'

@@ -16,7 +16,7 @@ void SweepArena::PrepareCompute(size_t widest, const GridAxis& xs,
                                 KernelType kernel) {
   // reserve() first, so a lane an earlier, narrower compute left grows to
   // exactly `widest`, not to the doubling a resize would pick.
-  for (std::vector<double>* lane : {&ex, &ey, &lb, &ub}) {
+  for (std::vector<double>* lane : {&lb, &ub}) {
     lane->reserve(widest);
     lane->resize(widest);
   }
@@ -26,7 +26,7 @@ void SweepArena::PrepareCompute(size_t widest, const GridAxis& xs,
   }
   buckets.resize((CheckedSize(xs.count) + 1) * BucketStride(kernel));
   for (std::vector<double>* lane :
-       {&lower_px, &lower_py, &upper_px, &upper_py}) {
+       {&ex, &ey, &lower_px, &lower_py, &upper_px, &upper_py}) {
     lane->clear();
   }
   for (std::vector<int32_t>* lane :

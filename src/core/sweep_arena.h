@@ -3,11 +3,13 @@
 // here, so a line costs zero allocations, and — via the thread-local
 // borrow in ScopedArena — consecutive computes on the same thread
 // (parallel stripes, animation frames, serving retries) reuse the same heap
-// instead of re-growing it. The engine's path uses the envelope, interval
-// and bucket-index lanes, the bucket lane, qx and, for column sweeps, the
-// line lane, all sized before its first line. The direct entry's scan and
-// counting sort use the envelope, interval and bucket-index lanes, the run
-// offsets, cursors and run lanes, qx and the row sweep's scratch.
+// instead of re-growing it. The engine's path uses the interval and
+// bucket-index lanes, the bucket lane, qx and, for column sweeps, the line
+// lane, all sized before its first line; its lines read each envelope in
+// place from the call's swept copy (core/envelope.h SweptCopy), so it
+// never sizes the envelope lanes. The direct entry's scan and counting
+// sort use the envelope, interval and bucket-index lanes, the run offsets,
+// cursors and run lanes, qx and the row sweep's scratch.
 //
 // Accounting contract: the arena's heap is charged against the borrowing
 // compute's ExecContext memory budget (ScopedMemoryCharge over HeapBytes())
@@ -60,8 +62,10 @@ struct AlignedAllocator {
 };
 
 struct SweepArena {
-  // SoA envelope (global coordinates) and interval endpoints.
+  // The direct entry's SoA envelope (global coordinates), which its scan
+  // writes; the engine's lines read the swept copy instead.
   std::vector<double> ex, ey;
+  // Interval endpoints (the bound_intervals pass).
   std::vector<double> lb, ub;
   // Pixel bucket of every endpoint (the bucket_indices pass).
   std::vector<int32_t> lower_idx, upper_idx;
@@ -78,17 +82,19 @@ struct SweepArena {
   // and cached across computes keyed on the axis parameters, so a stripe
   // worker rendering the same grid repeatedly never refills it.
   std::vector<double> qx;
-  // One swept line's densities when the lines are columns of the output
-  // (SweptLines::kColumns, core/sweep_rows.h): the row sweep writes here
-  // and the driver stores it down the column. Empty for row sweeps.
+  // A block of up to kColumnBlockLines swept lines' densities when the
+  // lines are columns of the output (SweptLines::kColumns,
+  // core/sweep_rows.h): bucket_sweep writes each line here, and the driver
+  // stores the block across the raster one row at a time. Empty for row
+  // sweeps.
   std::vector<double> line;
   RowSweepScratch scratch;
 
   /// The engine's lanes, all sized here so that no line resizes them: the
-  /// envelope, interval and bucket-index lanes to `widest` points, the
-  /// bucket lane to X + 1 buckets of `kernel`, and qx. The counting sort's
-  /// lanes are emptied, so ShrinkToFit can drop what a direct compute left
-  /// in them.
+  /// interval and bucket-index lanes to `widest` points, the bucket lane to
+  /// X + 1 buckets of `kernel`, and qx. The direct entry's envelope lanes
+  /// and counting-sort lanes are emptied, so ShrinkToFit can drop what a
+  /// direct compute left in them.
   void PrepareCompute(size_t widest, const GridAxis& xs, KernelType kernel);
 
   /// The direct entry's per-compute lanes: envelope lanes to all

@@ -1,5 +1,6 @@
 #include "core/sweep_rows.h"
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
@@ -15,22 +16,21 @@ namespace slam {
 
 namespace {
 
-/// Copies an AoS envelope span (a run of the reach-ordered points) into the
-/// SoA lanes. The lanes are typed at this boundary (TypedLane, util/units.h):
-/// the compiler rejects scattering a y coordinate into the x lane; only the
-/// dispatched backends below ever see the raw doubles.
-void SoaFromSpan(std::span<const Point> envelope, TypedLane<WorldX> ex,
-                 TypedLane<WorldY> ey) {
-  for (size_t i = 0; i < envelope.size(); ++i) {
-    ex.Store(i, WorldX(envelope[i].x));
-    ey.Store(i, WorldY(envelope[i].y));
-  }
-}
-
-/// Stores a swept line down column `ix` of `*map`, one value per row.
-void StoreColumn(std::span<const double> line, PixelX ix, DensityMap* map) {
+/// Stores a block of `count` swept lines down columns first, first + 1, …
+/// of `*map`. Line c of the block is block[c × H, (c + 1) × H), H the
+/// raster's height. The block goes one raster row at a time, so each row
+/// takes `count` contiguous pixels instead of one pixel per line a whole
+/// row apart.
+void StoreColumns(std::span<const double> block, size_t count, PixelX first,
+                  DensityMap* map) {
+  const size_t height = CheckedSize(map->height());
+  const size_t column = CheckedSize(first.value());
   for (RowIndex iy(0); iy < RowIndex(map->height()); ++iy) {
-    map->set(ix, iy, DensityValue(line[CheckedSize(iy.value())]));
+    TypedLane<DensityValue> row = map->mutable_density_row(iy);
+    const size_t r = CheckedSize(iy.value());
+    for (size_t c = 0; c < count; ++c) {
+      row.Store(column + c, DensityValue(block[c * height + r]));
+    }
   }
 }
 
@@ -50,7 +50,8 @@ Status ChargeArena(SweepArena* ws, ScopedMemoryCharge* charge) {
 
 }  // namespace
 
-Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
+Status ComputeEndpointSweep(const KdvTask& task, SweptLanes points,
+                            const ComputeOptions& options,
                             const SweepMethodLabels& labels, SweptLines lines,
                             RowRange rows, size_t widest, DensityMap* out) {
   SLAM_ASSIGN_OR_RETURN(const SimdOps* ops, GetSimdOps(options.simd));
@@ -58,11 +59,17 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
   const ExecContext* exec = options.exec;
   ScopedMemoryCharge charge(exec, labels.workspace);
   const GridAxis& xs = task.grid.x_axis();
+  const size_t length = CheckedSize(xs.count);
+  // A column sweep writes up to kColumnBlockLines lines into the line lane
+  // and then stores them together; a block never spans two stripes.
+  const size_t block = columns ? std::min(CheckedSize(kColumnBlockLines),
+                                          CheckedSize(rows.end - rows.begin))
+                               : 0;
   // Every lane is sized and charged before the first line; no line
   // resizes one.
   ScopedArena ws;
   ws->PrepareCompute(widest, xs, task.kernel);
-  ws->line.resize(columns ? CheckedSize(xs.count) : 0);
+  ws->line.resize(block * length);
   SLAM_RETURN_NOT_OK(ChargeArena(&*ws, &charge));
 
   BucketSweepArgs args;
@@ -73,34 +80,41 @@ Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
   args.weight = task.weight;
   args.qy = 0.0;  // the row-local frame pins the query y to the line
   args.qx = ws->qx.data();
-  args.ex = ws->ex.data();
-  args.ey = ws->ey.data();
   args.lower_idx = ws->lower_idx.data();
   args.upper_idx = ws->upper_idx.data();
   args.buckets = ws->buckets.data();
   // The points are in reach order (the engine's swept copy, OrderByReach),
-  // so each line's envelope is a run of them: the points the scan would
-  // admit.
-  SortedEnvelopeCursor cursor(task.points);
+  // so each line's envelope is a run of both lanes: the points the scan
+  // would admit. The passes read the run where it lies.
+  SortedEnvelopeCursor cursor(points.y);
   for (RowIndex iy(rows.begin); iy < RowIndex(rows.end); ++iy) {
     SLAM_RETURN_NOT_OK(ExecCheck(exec, labels.row));
     const WorldY k = task.grid.YCoord(iy);
-    const std::span<const Point> envelope = cursor.Advance(k, task.bandwidth);
+    const LaneRange envelope = cursor.Advance(k, task.bandwidth);
     const size_t m = envelope.size();
     SLAM_DCHECK(m <= widest) << "an envelope wider than the lanes";
-    SoaFromSpan(envelope, TypedLane<WorldX>(ws->ex.data(), m),
-                TypedLane<WorldY>(ws->ey.data(), m));
-    ops->bound_intervals(ws->ex.data(), ws->ey.data(), m, k.value(),
-                         task.bandwidth, ws->lb.data(), ws->ub.data());
+    const double* ex = points.x.raw() + envelope.begin;
+    const double* ey = points.y.raw() + envelope.begin;
+    ops->bound_intervals(ex, ey, m, k.value(), task.bandwidth, ws->lb.data(),
+                         ws->ub.data());
     ops->bucket_indices(ws->lb.data(), ws->ub.data(), m, xs,
                         ws->lower_idx.data(), ws->upper_idx.data());
     const Point origin = RowLocalOrigin(xs, k);
     args.n = m;
+    args.ex = ex;
+    args.ey = ey;
     args.origin_x = origin.x;
     args.origin_y = origin.y;
-    args.out = columns ? ws->line.data() : out->mutable_density_row(iy).raw();
+    // A row goes straight into the raster, a column into its block's slot.
+    const size_t slot =
+        columns ? CheckedSize(iy.value() - rows.begin) % block : 0;
+    args.out = columns ? ws->line.data() + slot * length
+                       : out->mutable_density_row(iy).raw();
     ops->bucket_sweep(args);
-    if (columns) StoreColumn(ws->line, PixelX(iy.value()), out);
+    if (columns && (slot + 1 == block || iy.value() + 1 == rows.end)) {
+      StoreColumns(ws->line, slot + 1,
+                   PixelX(iy.value() - PixelIndex(slot)), out);
+    }
   }
   return Status::OK();
 }

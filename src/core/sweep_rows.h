@@ -11,6 +11,7 @@
 // swept line is a row or a column of the output.
 #pragma once
 
+#include "core/envelope.h"
 #include "kdv/density_map.h"
 #include "kdv/task.h"
 #include "util/status.h"
@@ -40,17 +41,25 @@ inline constexpr SweepMethodLabels kSlamBucketLabels = {
 /// swept line i is column i of an output shaped like the transposed grid.
 enum class SweptLines { kRows, kColumns };
 
-/// The engine's line loop: sweeps lines [rows.begin, rows.end) of `task` and
-/// writes them into `*out`, which the caller created in the output's shape
-/// (RowRange, kdv/task.h). `task.points` must be in reach order for those
-/// lines, as the run of ComputeKdv's swept copy a stripe reads is
-/// (OrderByReach, ReachingRun in core/envelope.h): at every line the points
-/// the scan drops and the points it admits are prefixes. Each line's
-/// envelope is then a run of them (SortedEnvelopeCursor), and bucket_sweep
-/// turns it into the line's densities. `widest` bounds every envelope of
-/// those lines (the engine counts each line's in the same pass); every lane
-/// is sized to it and charged before the first line.
-Status ComputeEndpointSweep(const KdvTask& task, const ComputeOptions& options,
+/// Swept columns a stripe stores together: 8 doubles of each raster row,
+/// one 64-byte cache line.
+inline constexpr int kColumnBlockLines = 8;
+
+/// The engine's line loop: sweeps lines [rows.begin, rows.end) of `task`'s
+/// grid (with its kernel, bandwidth and weight; `task.points` is not read)
+/// over `points`, and writes them into `*out`, which the caller created in
+/// the output's shape (RowRange, kdv/task.h). `points` must be in reach
+/// order for those lines, as the run of ComputeKdv's swept copy a stripe
+/// reads is (OrderByReach, ReachingRun in core/envelope.h): at every line
+/// the points the scan drops and the points it admits are prefixes. Each
+/// line's envelope is then a run of both lanes (SortedEnvelopeCursor),
+/// which bound_intervals and bucket_sweep read in place. `widest` bounds
+/// every envelope of those lines (the engine counts each line's in the same
+/// pass); every lane is sized to it and charged before the first line. A
+/// column sweep stores its lines kColumnBlockLines at a time, and the
+/// stripe's last block when it ends.
+Status ComputeEndpointSweep(const KdvTask& task, SweptLanes points,
+                            const ComputeOptions& options,
                             const SweepMethodLabels& labels, SweptLines lines,
                             RowRange rows, size_t widest, DensityMap* out);
 

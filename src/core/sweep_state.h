@@ -150,6 +150,20 @@ inline void SweepChannelValues(double px, double py,
   v[kSweepChannelCount + 1] = 0.0;
 }
 
+/// Knuth's branchless two-sum: folds `value` into (sum, comp) as
+/// NeumaierAdd does. Both add the exact rounding error of sum + value to
+/// comp, so the two agree bit for bit, signed zeros included, wherever the
+/// sum does not overflow (SweepStateTest.TwoSumIsNeumaierAddBitForBit).
+/// This form has no branch to mispredict when the terms' magnitudes take
+/// turns, as a bucket's few mixed-sign terms do; the vector backends run
+/// the same operations in lanes.
+inline void TwoSumAdd(double& sum, double& comp, double value) {
+  const double t = sum + value;
+  const double bb = t - sum;
+  comp += (sum - (t - bb)) + (value - bb);
+  sum = t;
+}
+
 /// One side (L or U) of the SoA sweep state: contiguous sum lanes plus
 /// contiguous Neumaier compensation lanes. 32-byte aligned so vector
 /// backends use aligned register loads; zero-initialized.

@@ -287,7 +287,7 @@ Result<DensityMap> RunEngine(const KdvTask& task, Method method,
   ScopedMemoryCharge recenter_charge(exec, "engine/recentered_points");
   std::optional<TranslatedTask> translated;
   ScopedMemoryCharge swept_charge(exec, "engine/swept_points");
-  std::vector<Point> swept_points;
+  SweptCopy swept_copy;
   KdvTask swept = run_task;
   std::vector<RowRange> stripes;
   std::vector<size_t> widest;  // each SLAM stripe's largest envelope
@@ -302,11 +302,12 @@ Result<DensityMap> RunEngine(const KdvTask& task, Method method,
     const SweepFrame frame{c, lines == SweptLines::kColumns};
     const Grid shifted = run_task.grid.Translated(c.x, c.y);
     swept.grid = frame.transposed ? shifted.Transposed() : shifted;
+    // The lines read the copy's lanes, not the task's points.
+    swept.points = {};
     std::vector<size_t> envelope_sizes;
     SLAM_RETURN_NOT_OK(OrderByReach(
         run_task.points, frame, swept.grid.y_axis(), swept.grid.x_axis(),
-        swept.bandwidth, &swept_charge, &swept_points, &envelope_sizes));
-    swept.points = swept_points;
+        swept.bandwidth, exec, &swept_charge, &swept_copy, &envelope_sizes));
     const double pixel_work = kPixelWork * swept.grid.width();
     stripes = CutLines(num_lines, parts, [&](int j) {
       return static_cast<double>(envelope_sizes[CheckedSize(j)]) + pixel_work;
@@ -318,18 +319,18 @@ Result<DensityMap> RunEngine(const KdvTask& task, Method method,
     // The per-line counts go before any stripe charges its arena.
     std::vector<size_t>().swap(envelope_sizes);
     SLAM_RETURN_NOT_OK(
-        swept_charge.Update(swept_points.size() * sizeof(Point)));
+        swept_charge.Update(swept_copy.size() * 2 * sizeof(double)));
   }
   const KdvTask& method_task = translated ? translated->task() : run_task;
   // Stripe `s`, on whichever thread runs it.
   const auto run_stripe = [&](size_t s, const ComputeOptions& stripe_compute) {
     const RowRange rows = stripes[s];
     if (sweep == nullptr) return fn(method_task, stripe_compute, rows, &map);
-    KdvTask stripe = swept;
-    stripe.points = ReachingRun(swept_points, swept.grid.y_axis(), rows.begin,
-                                rows.end, swept.bandwidth);
-    return ComputeEndpointSweep(stripe, stripe_compute, *sweep, lines, rows,
-                                widest[s], &map);
+    const LaneRange run =
+        ReachingRun(swept_copy.Lanes().y, swept.grid.y_axis(), rows.begin,
+                    rows.end, swept.bandwidth);
+    return ComputeEndpointSweep(swept, swept_copy.Lanes(run), stripe_compute,
+                                *sweep, lines, rows, widest[s], &map);
   };
   if (!pool) {
     SLAM_RETURN_NOT_OK(run_stripe(0, compute));
@@ -417,28 +418,30 @@ size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
     case Method::kSlamBucket:
     case Method::kSlamBucketRao: {
       // RAO's rule (core/rao.h) may sweep either axis, so its methods are
-      // priced for max(X, Y) lines of max(X, Y) pixels, plus the line lane
-      // a column is stored from.
+      // priced for max(X, Y) lines of max(X, Y) pixels, plus the block of
+      // lines a stripe stores columns from.
       const bool rao = MethodIsRao(method);
       const int longer = std::max(width, height);
       const size_t x = CheckedSize(rao ? longer : width);
       const size_t lines = CheckedSize(rao ? longer : height);
-      // The swept copy (one Point per kept point) is made once per call.
-      // While its pass runs, the key lane (one uint32 per point) and the
-      // per-line counts (3L + 3 size_t: the key histogram and the envelope
-      // sizes) live beside it; both are freed before any stripe charges its
-      // arena (core/envelope.h OrderByReach).
+      // The swept copy (an x and a y lane, 16 bytes per kept point) is made
+      // once per call. While its pass runs, the key lane (one uint32 per
+      // point) and the per-line counts (3L + 3 size_t: the key histogram and
+      // the envelope sizes) live beside it; both are freed before any stripe
+      // charges its arena (core/envelope.h OrderByReach).
       const size_t keys =
           n * sizeof(uint32_t) + (3 * lines + 3) * sizeof(size_t);
       // Each stripe's SweepArena (core/sweep_rows.cc): per point of its
-      // widest envelope (at most n), the envelope and interval lanes (4
-      // doubles) and the bucket indices (2 int32); per pixel of a swept
-      // line, X + 1 buckets of quartic's 24 doubles (12 sums and 12
-      // compensation terms, the widest bucket — the estimate takes no
-      // kernel) and qx, plus RAO's line lane.
-      const size_t pixel_doubles = rao ? 2 : 1;
+      // widest envelope (at most n), the interval lanes (2 doubles) and the
+      // bucket indices (2 int32), the envelope itself being read from the
+      // copy; per pixel of a swept line, X + 1 buckets of quartic's 24
+      // doubles (12 sums and 12 compensation terms, the widest bucket — the
+      // estimate takes no kernel) and qx, plus RAO's block of
+      // kColumnBlockLines lines.
+      const size_t pixel_doubles =
+          1 + (rao ? CheckedSize(kColumnBlockLines) : size_t{0});
       const size_t arena =
-          n * (sizeof(double) * 4 + sizeof(int32_t) * 2) +
+          n * (sizeof(double) * 2 + sizeof(int32_t) * 2) +
           ((x + 1) * BucketStride(KernelType::kQuartic) + x * pixel_doubles) *
               sizeof(double);
       return n * point_bytes + std::max(keys, at_once * arena);

@@ -45,8 +45,11 @@ struct ComputeOptions {
   double quad_epsilon = 0.0;
   /// Sweep methods: accumulate the L/U aggregates with Neumaier-compensated
   /// summation so long rows (millions of endpoint passes) don't drift. On
-  /// by default — roughly doubles the per-endpoint add cost, which is
-  /// dwarfed by the per-pixel closed-form evaluation (DESIGN.md §7).
+  /// by default, and not cheap: serial ComputeKdv(SLAM_BUCKET_RAO) on the
+  /// benchmark workloads' seed-1 tasks (AVX2, on and off interleaved) took
+  /// 27–34% longer with it for Epanechnikov and 1.7–2.0× as long for
+  /// quartic; uniform counts are exact and cost the same either way
+  /// (DESIGN.md §6).
   bool compensated_aggregates = true;
   /// Sweep methods: instruction-set backend for the row primitives
   /// (src/simd/, DESIGN.md §11). kAuto picks the best available at runtime,

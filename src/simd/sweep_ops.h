@@ -1,8 +1,11 @@
 // The per-line sweep primitives behind the four SLAM methods, as a table
 // of function pointers selected once per compute call (dispatch.h).
 //
-// The engine's path (ComputeEndpointSweep, core/sweep_rows.h) slices each
-// line's envelope out of a reach-ordered copy and runs three passes on it:
+// The engine's path (ComputeEndpointSweep, core/sweep_rows.h) finds each
+// line's envelope as an index range of its reach-ordered copy, which is an
+// x lane and a y lane, and runs three passes on it. The passes take
+// ex/ey as pointers to the start of that range, so they read the copy in
+// place:
 //   - bound_intervals — per envelope point, the sweep interval
 //     [p.x − √(b² − dy²), p.x + √(b² − dy²)] (paper Eqs. 8–9) into
 //     contiguous lb[]/ub[] lanes.
@@ -34,10 +37,11 @@
 // The scalar backend is the reference: it mirrors the sweep arithmetic of
 // core/sweep_state.h operation for operation. Vector backends replay the
 // identical operation sequence in lanes — no FMA contraction, Knuth
-// two-sum in place of the branched Neumaier step (both produce the exact
-// rounding error of the addition, so they are interchangeable bit for
-// bit) — and are held to the scalar path and the long-double oracle at
-// 1e-9 by tests/simd/simd_equivalence_test.cc,
+// two-sum (TwoSumAdd, core/sweep_state.h, which the scalar bucket pass
+// takes too) in place of the branched Neumaier step (both produce the
+// exact rounding error of the addition, so they are interchangeable bit
+// for bit) — and are held to the scalar path and the long-double oracle
+// at 1e-9 by tests/simd/simd_equivalence_test.cc,
 // tests/simd/bucket_sweep_test.cc and fuzz/target_differential.cc. Only
 // bound_intervals, bucket_indices and (AVX2) bucket_sweep have vector
 // forms.

@@ -138,11 +138,13 @@ inline void RowSweepScalar(const RowSweepArgs& a, RowSweepScratch* /*s*/) {
 }
 
 /// The reference bucket pass (BucketSweepArgs): per channel, one
-/// NeumaierAdd per endpoint — each point's lower endpoint, then its upper,
-/// points in slice order — then one running Neumaier sum over the pixel
-/// buckets that folds in each bucket's compensation term, evaluated at each
-/// pixel. The count channel adds plainly at both levels, as in
-/// SoaAccumulator::Add: its sums are exact integers, so its compensation
+/// Neumaier step per endpoint — each point's lower endpoint, then its
+/// upper, points in slice order — then one running Neumaier sum over the
+/// pixel buckets that folds in each bucket's compensation term, evaluated
+/// at each pixel. Both levels take the step as the branchless TwoSumAdd
+/// (core/sweep_state.h), which gives NeumaierAdd's bits without its
+/// mispredicted branch. The count channel adds plainly at both levels, as
+/// in SoaAccumulator::Add: its sums are exact integers, so its compensation
 /// terms stay +0. The uncompensated form adds plainly everywhere.
 template <bool kCompensated>
 void BucketSweepScalarImpl(const BucketSweepArgs& a) {
@@ -154,7 +156,7 @@ void BucketSweepScalarImpl(const BucketSweepArgs& a) {
             a.buckets + (static_cast<size_t>(a.width) + 1) * stride, 0.0);
   const auto add = [&](double* bucket, double value, int ch) {
     if (kCompensated && ch != kChCount) {
-      NeumaierAdd(bucket[ch], bucket[comp + static_cast<size_t>(ch)], value);
+      TwoSumAdd(bucket[ch], bucket[comp + static_cast<size_t>(ch)], value);
     } else {
       bucket[ch] += value;
     }
@@ -174,7 +176,7 @@ void BucketSweepScalarImpl(const BucketSweepArgs& a) {
     const double* bucket = a.buckets + static_cast<size_t>(ix) * stride;
     for (int ch = 0; ch < channels; ++ch) {
       if (kCompensated && ch != kChCount) {
-        NeumaierAdd(run[ch], run_comp[ch], bucket[ch]);
+        TwoSumAdd(run[ch], run_comp[ch], bucket[ch]);
         run_comp[ch] += bucket[comp + static_cast<size_t>(ch)];
         d[ch] = run[ch] + run_comp[ch];
       } else {

@@ -31,7 +31,10 @@ Grid BoundaryGrid() {
 
 TEST(BoundaryTest, EnvelopeIncludesRowAtDistanceExactlyB) {
   const std::vector<Point> points = {{3.5, 3.5}};
-  SortedEnvelopeCursor cursor(points);
+  // The same point as the engine's swept copy holds it: an x and a y lane.
+  std::vector<double> x_lane = {3.5};
+  std::vector<double> y_lane = {3.5};
+  SortedEnvelopeCursor cursor(TypedLane<WorldY>(y_lane.data(), y_lane.size()));
   std::vector<Point> found;
   // Rows exactly b above and below the point: Definition 1 is inclusive.
   for (const double k : {3.5 - kBandwidth, 3.5 + kBandwidth}) {
@@ -39,10 +42,10 @@ TEST(BoundaryTest, EnvelopeIncludesRowAtDistanceExactlyB) {
     ASSERT_EQ(found.size(), 1u) << "FindEnvelope at k=" << k;
     EXPECT_EQ(found[0].x, 3.5);
     EXPECT_EQ(found[0].y, 3.5);
-    const auto span = cursor.Advance(WorldY(k), kBandwidth);
-    ASSERT_EQ(span.size(), 1u) << "SortedEnvelopeCursor at k=" << k;
-    EXPECT_EQ(span[0].x, found[0].x);
-    EXPECT_EQ(span[0].y, found[0].y);
+    const LaneRange run = cursor.Advance(WorldY(k), kBandwidth);
+    ASSERT_EQ(run.size(), 1u) << "SortedEnvelopeCursor at k=" << k;
+    EXPECT_EQ(x_lane[run.begin], found[0].x);
+    EXPECT_EQ(y_lane[run.begin], found[0].y);
   }
   // One ulp past the boundary row: excluded by both. (Computed directly
   // on the row coordinate — adding a perturbed bandwidth to 3.5 would

@@ -59,18 +59,39 @@ std::vector<Point> SortedByY(std::vector<Point> pts) {
   return pts;
 }
 
+/// The points as a copy's x and y lanes, in the same order.
+SweptCopy AsLanes(std::span<const Point> points) {
+  SweptCopy copy;
+  for (const Point& p : points) {
+    copy.x.push_back(p.x);
+    copy.y.push_back(p.y);
+  }
+  return copy;
+}
+
+/// The points [run.begin, run.end) of the copy's lanes.
+std::vector<Point> PointsOf(const SweptCopy& copy, LaneRange run) {
+  std::vector<Point> out;
+  for (size_t i = run.begin; i < run.end; ++i) {
+    out.push_back({copy.x[i], copy.y[i]});
+  }
+  return out;
+}
+
 /// Walks one cursor over the rows `ks` (non-decreasing) and requires, at
 /// every row, exactly the sequence FindEnvelope scans out of the same
 /// sorted points. Returns the envelope sizes for further checks.
 std::vector<size_t> ExpectCursorIsTheScan(const std::vector<Point>& sorted,
                                           const std::vector<double>& ks,
                                           double bandwidth) {
-  SortedEnvelopeCursor cursor(sorted);
+  SweptCopy lanes = AsLanes(sorted);
+  SortedEnvelopeCursor cursor(lanes.Lanes().y);
   std::vector<Point> expected;
   std::vector<size_t> sizes;
   for (const double k : ks) {
     FindEnvelope(sorted, WorldY(k), bandwidth, &expected);
-    const std::span<const Point> got = cursor.Advance(WorldY(k), bandwidth);
+    const std::vector<Point> got =
+        PointsOf(lanes, cursor.Advance(WorldY(k), bandwidth));
     EXPECT_EQ(got.size(), expected.size()) << "k=" << k;
     for (size_t i = 0; i < std::min(got.size(), expected.size()); ++i) {
       EXPECT_EQ(got[i].x, expected[i].x) << "k=" << k << " i=" << i;
@@ -131,7 +152,7 @@ TEST(SortedEnvelopeCursorTest, DuplicateYValuesComeInInputOrder) {
 }
 
 TEST(SortedEnvelopeCursorTest, EmptyInput) {
-  SortedEnvelopeCursor cursor({});
+  SortedEnvelopeCursor cursor(TypedLane<WorldY>{});
   EXPECT_TRUE(cursor.Advance(WorldY(0.0), 10.0).empty());
   EXPECT_TRUE(cursor.Advance(WorldY(5.0), 10.0).empty());
 }
@@ -152,9 +173,10 @@ TEST(SortedEnvelopeCursorTest, LinesMoreThanTwoBApartSkipThePointsBetween) {
   // neither envelope and must not enter the second one on their way past.
   const auto sorted = SortedByY(RandomPoints(1000, 100.0, 199));
   ExpectCursorIsTheScan(sorted, {0.0, 100.0}, 2.0);
-  SortedEnvelopeCursor cursor(sorted);
+  SweptCopy lanes = AsLanes(sorted);
+  SortedEnvelopeCursor cursor(lanes.Lanes().y);
   (void)cursor.Advance(WorldY(0.0), 2.0);
-  const auto far = cursor.Advance(WorldY(100.0), 2.0);
+  const auto far = PointsOf(lanes, cursor.Advance(WorldY(100.0), 2.0));
   ASSERT_FALSE(far.empty());
   for (const Point& p : far) EXPECT_GE(p.y, 98.0);
 }
@@ -206,7 +228,8 @@ void ExpectSameMultiset(std::span<const Point> got,
 }
 
 struct ReachOrdered {
-  std::vector<Point> points;
+  SweptCopy copy;
+  std::vector<Point> points;  // the copy's lanes, point by point
   std::vector<size_t> envelope_sizes;
 };
 
@@ -216,9 +239,11 @@ ReachOrdered OrderedByReach(const std::vector<Point>& input,
                             const GridAxis& across = kWideAcross) {
   ReachOrdered out;
   ScopedMemoryCharge charge(nullptr, "test");
-  EXPECT_TRUE(OrderByReach(input, frame, along, across, bandwidth, &charge,
-                           &out.points, &out.envelope_sizes)
+  EXPECT_TRUE(OrderByReach(input, frame, along, across, bandwidth, nullptr,
+                           &charge, &out.copy, &out.envelope_sizes)
                   .ok());
+  EXPECT_EQ(out.copy.x.size(), out.copy.y.size());
+  out.points = PointsOf(out.copy, {0, out.copy.size()});
   return out;
 }
 
@@ -230,16 +255,17 @@ std::vector<size_t> ExpectReachOrderIsTheScan(const std::vector<Point>& input,
                                               const GridAxis& along,
                                               double bandwidth,
                                               const SweepFrame& frame = {}) {
-  const ReachOrdered reach = OrderedByReach(input, along, bandwidth, frame);
+  ReachOrdered reach = OrderedByReach(input, along, bandwidth, frame);
   const std::vector<Point> framed = InFrame(input, frame);
   EXPECT_EQ(reach.envelope_sizes.size(), static_cast<size_t>(along.count));
-  SortedEnvelopeCursor cursor(reach.points);
+  SortedEnvelopeCursor cursor(reach.copy.Lanes().y);
   std::vector<Point> expected;
   std::vector<Point> reached;  // every line's envelope, with repeats
   for (int j = 0; j < along.count; ++j) {
     const WorldY k(along.Coord(j));
     FindEnvelope(framed, k, bandwidth, &expected);
-    const std::span<const Point> got = cursor.Advance(k, bandwidth);
+    const std::vector<Point> got =
+        PointsOf(reach.copy, cursor.Advance(k, bandwidth));
     ExpectSameMultiset(got, expected, "line " + std::to_string(j));
     EXPECT_EQ(reach.envelope_sizes[static_cast<size_t>(j)], got.size())
         << "line " << j;
@@ -374,15 +400,15 @@ TEST(ReachOrderTest, StripeRunIsThePointsReachingItsLines) {
   const auto pts = ClusteredPoints(3000, 100.0, 5, 251);
   const GridAxis along{-3.0, 0.7, 150};
   const double b = 2.9;
-  const ReachOrdered reach = OrderedByReach(pts, along, b);
+  ReachOrdered reach = OrderedByReach(pts, along, b);
   Rng rng(257);
   for (int trial = 0; trial < 40; ++trial) {
     int begin = static_cast<int>(rng.NextBelow(150));
     int end = static_cast<int>(rng.NextBelow(150));
     if (begin > end) std::swap(begin, end);
     ++end;
-    const std::span<const Point> run =
-        ReachingRun(reach.points, along, begin, end, b);
+    const LaneRange run =
+        ReachingRun(reach.copy.Lanes().y, along, begin, end, b);
     std::vector<Point> reaching;
     for (const Point& p : reach.points) {
       for (int j = begin; j < end; ++j) {
@@ -394,16 +420,18 @@ TEST(ReachOrderTest, StripeRunIsThePointsReachingItsLines) {
     }
     const std::string where =
         "lines [" + std::to_string(begin) + ", " + std::to_string(end) + ")";
-    ExpectSameMultiset(run, reaching, where);
-    // A cursor over the run yields each line's run of the whole copy.
-    SortedEnvelopeCursor whole(reach.points);
-    SortedEnvelopeCursor stripe(run);
+    ExpectSameMultiset(PointsOf(reach.copy, run), reaching, where);
+    // A cursor over the run yields each line's run of the whole copy: the
+    // same points, at indices offset by the run's start.
+    SortedEnvelopeCursor whole(reach.copy.Lanes().y);
+    SortedEnvelopeCursor stripe(reach.copy.Lanes(run).y);
     for (int j = 0; j < end; ++j) {
       const WorldY k(along.Coord(j));
-      const std::span<const Point> expected = whole.Advance(k, b);
+      const LaneRange expected = whole.Advance(k, b);
       if (j < begin) continue;
-      const std::span<const Point> got = stripe.Advance(k, b);
-      EXPECT_EQ(got.data(), expected.data()) << where << " line " << j;
+      const LaneRange got = stripe.Advance(k, b);
+      EXPECT_EQ(run.begin + got.begin, expected.begin)
+          << where << " line " << j;
       EXPECT_EQ(got.size(), expected.size()) << where << " line " << j;
       EXPECT_EQ(got.size(), reach.envelope_sizes[static_cast<size_t>(j)]);
     }
@@ -417,9 +445,9 @@ TEST(ReachOrderTest, ChargesTheKeyLaneOnlyWhileItLives) {
   ExecContext exec;
   exec.set_memory_budget(&budget);
   ScopedMemoryCharge charge(&exec, "test");
-  std::vector<Point> ordered;
+  SweptCopy ordered;
   std::vector<size_t> sizes;
-  ASSERT_TRUE(OrderByReach(pts, {}, along, kWideAcross, 3.0, &charge,
+  ASSERT_TRUE(OrderByReach(pts, {}, along, kWideAcross, 3.0, nullptr, &charge,
                            &ordered, &sizes)
                   .ok());
   const size_t copy = ordered.size() * sizeof(Point);
@@ -433,12 +461,12 @@ TEST(ReachOrderTest, ChargesTheKeyLaneOnlyWhileItLives) {
   ExecContext tight_exec;
   tight_exec.set_memory_budget(&tight);
   ScopedMemoryCharge refused(&tight_exec, "test");
-  ordered.clear();
-  EXPECT_EQ(OrderByReach(pts, {}, along, kWideAcross, 3.0, &refused,
+  ordered = SweptCopy();
+  EXPECT_EQ(OrderByReach(pts, {}, along, kWideAcross, 3.0, nullptr, &refused,
                          &ordered, &sizes)
                 .code(),
             StatusCode::kResourceExhausted);
-  EXPECT_TRUE(ordered.empty());
+  EXPECT_EQ(ordered.size(), 0u);
 }
 
 }  // namespace

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/rao.h"
 #include "core/slam_bucket.h"
 #include "core/slam_sort.h"
+#include "core/sweep_rows.h"
 #include "core/sweep_state.h"
 #include "kdv/engine.h"
 #include "kdv/grid.h"
@@ -88,17 +91,52 @@ TEST(SweepArenaTest, EngineLanesGrowToExactlyTheWidestEnvelope) {
   // widest envelope is a little past the previous one's grows each
   // per-point lane to exactly that width, not to the doubling a plain
   // resize picks, so the arena never holds more than the call's n points'
-  // lanes (the budget pre-flight's per-stripe term).
+  // lanes (the budget pre-flight's per-stripe term). The envelope itself
+  // is read from the call's swept copy, so the envelope lanes stay empty.
   SweepArena arena;
   const GridAxis xs{0.5, 1.0, 8};
   arena.PrepareCompute(600, xs, KernelType::kEpanechnikov);
   arena.PrepareCompute(700, xs, KernelType::kEpanechnikov);
-  for (const std::vector<double>* lane :
-       {&arena.ex, &arena.ey, &arena.lb, &arena.ub}) {
+  for (const std::vector<double>* lane : {&arena.lb, &arena.ub}) {
     EXPECT_EQ(lane->capacity(), 700u);
   }
   EXPECT_EQ(arena.lower_idx.capacity(), 700u);
   EXPECT_EQ(arena.upper_idx.capacity(), 700u);
+  EXPECT_EQ(arena.ex.capacity(), 0u);
+  EXPECT_EQ(arena.ey.capacity(), 0u);
+}
+
+TEST(SweepArenaTest, EngineComputeLeavesTheEnvelopeLanesUnsized) {
+  // The engine's lines read each envelope in place from the call's swept
+  // copy, so on a fresh thread's arena a compute, rows or RAO's columns,
+  // never gives the envelope lanes any capacity. A column sweep holds one
+  // block of kColumnBlockLines lines, each as long as a column.
+  const double extent = 64.0;
+  const std::vector<Point> points = RandomPoints(1500, extent, /*seed=*/0x2F);
+  KdvTask task;
+  task.points = points;
+  task.bandwidth = 4.0;
+  task.weight = 1.0 / 1500.0;
+  for (const auto& [grid, method] :
+       {std::pair{MakeGrid(40, 30, extent), Method::kSlamBucket},
+        std::pair{MakeGrid(37, 96, extent), Method::kSlamBucketRao}}) {
+    task.grid = grid;
+    const bool columns = method == Method::kSlamBucketRao;
+    ASSERT_EQ(RaoWouldTranspose(task), columns);
+    std::thread fresh([&] {
+      const auto map = ComputeKdv(task, method, {});
+      ASSERT_TRUE(map.ok()) << map.status().ToString();
+      const SweepArena& arena = ThreadSweepArenaForTest();
+      EXPECT_GT(arena.lb.capacity(), 0u);
+      EXPECT_EQ(arena.ex.capacity(), 0u);
+      EXPECT_EQ(arena.ey.capacity(), 0u);
+      EXPECT_EQ(arena.line.size(),
+                columns ? static_cast<size_t>(kColumnBlockLines) *
+                              static_cast<size_t>(task.grid.height())
+                        : 0u);
+    });
+    fresh.join();
+  }
 }
 
 TEST(SweepArenaTest, HeapBytesGrowsWithLanesAndReleaseDropsToZero) {

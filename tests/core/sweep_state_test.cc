@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "util/random.h"
 
 namespace slam {
@@ -80,6 +87,82 @@ TEST(SweepStateTest, UpperSubsetOfLowerKeepsDensityNonNegative) {
     }
     EXPECT_GE(
         state.Density(KernelType::kUniform, {0, 0}, 3.0, 1.0), -1e-12);
+  }
+}
+
+/// Folds `values` into one (sum, comp) pair with NeumaierAdd and into
+/// another with TwoSumAdd, from the same start, and requires both pairs'
+/// bit patterns to agree after every add.
+void ExpectTwoSumIsNeumaier(double sum, double comp,
+                            const std::vector<double>& values,
+                            const std::string& where) {
+  double neumaier_sum = sum;
+  double neumaier_comp = comp;
+  double two_sum = sum;
+  double two_comp = comp;
+  for (size_t i = 0; i < values.size(); ++i) {
+    NeumaierAdd(neumaier_sum, neumaier_comp, values[i]);
+    TwoSumAdd(two_sum, two_comp, values[i]);
+    ASSERT_EQ(std::bit_cast<uint64_t>(two_sum),
+              std::bit_cast<uint64_t>(neumaier_sum))
+        << where << " add " << i << ": sum " << two_sum << " vs "
+        << neumaier_sum;
+    ASSERT_EQ(std::bit_cast<uint64_t>(two_comp),
+              std::bit_cast<uint64_t>(neumaier_comp))
+        << where << " add " << i << ": comp " << two_comp << " vs "
+        << neumaier_comp;
+  }
+}
+
+TEST(SweepStateTest, TwoSumIsNeumaierAddBitForBit) {
+  // The scalar reference's bucket sums and the AVX2 backend take Knuth's
+  // branchless two-sum where CompensatedRangeAggregates takes the branched
+  // NeumaierAdd; the engine's rasters are the same bits only if the two
+  // agree on every add, sum and compensation term alike.
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  // Single adds from every start in the cross product: mixed signs with
+  // |value| below, equal to and above |sum|, exact cancellations, both
+  // zeros, subnormals and magnitudes out to 1e300.
+  const std::vector<double> magnitudes = {
+      0.0,     kDenorm, 3 * kDenorm, kMin / 2, kMin,   1e-300, 1e-17, 0.1,
+      1.0 / 3, 0.5,     1.0,         1.0 + 0x1p-52,    3.0,    1e17,  1e300};
+  std::vector<double> values;
+  for (const double m : magnitudes) {
+    values.push_back(m);
+    values.push_back(-m);  // -0.0 for m = 0
+  }
+  for (const double sum : values) {
+    for (const double comp : values) {
+      for (const double value : values) {
+        ExpectTwoSumIsNeumaier(sum, comp, {value},
+                               "start (" + std::to_string(sum) + ", " +
+                                   std::to_string(comp) + ") add " +
+                                   std::to_string(value));
+      }
+    }
+  }
+  // Exact cancellations and signed zeros in sequence.
+  ExpectTwoSumIsNeumaier(0.0, 0.0, {1.0, -1.0, 0.0, -0.0, 0.1, -0.1, -0.0},
+                         "cancellations");
+  ExpectTwoSumIsNeumaier(-0.0, -0.0, {-0.0, -0.0, 0.0, -0.0}, "zeros");
+  ExpectTwoSumIsNeumaier(0.0, 0.0,
+                         {kDenorm, -kDenorm, kMin, -kDenorm, kMin / 4, -kMin},
+                         "subnormals");
+  // Long mixed-sign sequences: magnitudes spread over 10^±300 (never near
+  // overflow), and ones of one scale, the shape of a pixel bucket's terms.
+  Rng rng(233);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> sequence;
+    const bool spread = trial % 2 == 0;
+    for (int i = 0; i < 500; ++i) {
+      const double mantissa = rng.Uniform(-1.0, 1.0);
+      const int exponent =
+          spread ? static_cast<int>(rng.NextBelow(1993)) - 996 : 0;
+      sequence.push_back(std::ldexp(mantissa, exponent));
+    }
+    ExpectTwoSumIsNeumaier(0.0, 0.0, sequence,
+                           "sequence " + std::to_string(trial));
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "kdv/engine.h"
+#include "kdv/parallel.h"
 #include "testing/test_util.h"
 #include "util/exec_context.h"
 
@@ -150,6 +151,45 @@ TEST_P(CancellationTest, AmpleBudgetSucceedsAndReleasesEverything) {
                                   task.grid.height(), 1, false) > 0) {
     EXPECT_GT(budget.peak_bytes(), 0u)
         << MethodName(method) << " never accounted any workspace";
+  }
+}
+
+TEST(ReachCopyPollTest, AFaultAtEitherPassStopsTheCallBeforeItsFirstLine) {
+  // The swept copy's two passes over the points (OrderByReach) poll the
+  // ExecContext before their first point and every 2^16 points after, each
+  // at its own site. A fault there ends the call, serial or parallel,
+  // before any line polls. 70,000 points give each pass a second poll, at
+  // point 65,536, so a trap armed to pass one hit trips there.
+  const std::vector<Point> points = ClusteredPoints(70000, 50.0, 3, 619);
+  KdvTask task;
+  task.points = points;
+  task.kernel = KernelType::kEpanechnikov;
+  task.bandwidth = 6.0;
+  task.weight = 1.0 / 70000.0;
+  task.grid = MakeGrid(16, 12, 50.0);
+  for (const std::string site : {"engine/reach_keys", "engine/reach_scatter"}) {
+    for (const int64_t passed : {0, 1}) {
+      for (const int threads : {0, 2}) {
+        SCOPED_TRACE(site + " after " + std::to_string(passed) + " hits, " +
+                     (threads == 0 ? "serial" : "2 threads"));
+        const Status injected = Status::IoError("injected at " + site);
+        FaultInjector injector;
+        injector.Arm(site, passed, injected);
+        ExecContext exec;
+        exec.set_fault_injector(&injector);
+        ParallelOptions options;
+        options.num_threads = threads;
+        options.engine.compute.exec = &exec;
+        const auto result =
+            threads == 0 ? ComputeKdv(task, Method::kSlamBucket, options.engine)
+                         : ComputeKdvParallel(task, Method::kSlamBucket,
+                                              options);
+        EXPECT_EQ(result.status().code(), injected.code());
+        EXPECT_EQ(result.status().message(), injected.message());
+        EXPECT_EQ(injector.HitCount(site), passed + 1);
+        EXPECT_EQ(injector.HitCount("slam_bucket/row"), 0);
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/rao.h"
 #include "testing/test_util.h"
 
 namespace slam {
@@ -74,6 +75,69 @@ TEST(ParallelKdvTest, MatchesSerialBitForBit) {
                         0)
                   << label << ", " << threads << " threads";
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// True when the two rasters hold the same bytes.
+bool SameBits(const DensityMap& a, const DensityMap& b) {
+  return a.values().size() == b.values().size() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.values().size_bytes()) == 0;
+}
+
+TEST(ParallelKdvTest, ColumnBlocksAcrossStripesMatchSerialAndTheRowSweep) {
+  // A RAO column sweep stores its lines kColumnBlockLines at a time, and
+  // each stripe flushes its last, partial block. 37 columns are 4 full
+  // blocks and one of 5 serially, and 2T stripes cut by work at 1, 2, 3
+  // and 8 threads hold full and partial blocks of other sizes. Each raster
+  // must be the serial one, and that must be the base method's row sweep
+  // of the transposed task, transposed (as RaoTest checks), bit for bit.
+  const auto near = ClusteredPoints(2000, 60.0, 5, 607);
+  for (const double offset : {0.0, 1e7}) {
+    std::vector<Point> pts = near;
+    for (Point& p : pts) {
+      p.x += offset;
+      p.y += offset;
+    }
+    for (const KernelType kernel :
+         {KernelType::kUniform, KernelType::kEpanechnikov,
+          KernelType::kQuartic}) {
+      KdvTask task = MakeParallelTask(pts, 37, 96);
+      task.kernel = kernel;
+      task.grid = task.grid.Translated(-offset, -offset);
+      ASSERT_TRUE(RaoWouldTranspose(task));
+      ASSERT_EQ(TaskFarFromOrigin(task), offset != 0.0);
+      const TransposedTask transposed(task);
+      for (const SimdLevel level :
+           {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kNeon}) {
+        if (!SimdLevelAvailable(level)) continue;
+        ParallelOptions options;
+        options.engine.compute.simd = level;
+        for (const auto& [rao, base] :
+             {std::pair{Method::kSlamSortRao, Method::kSlamSort},
+              std::pair{Method::kSlamBucketRao, Method::kSlamBucket}}) {
+          const std::string label =
+              std::string(MethodName(rao)) + " offset " +
+              std::to_string(offset) + " " +
+              std::string(KernelTypeName(kernel)) + " " +
+              std::string(SimdLevelName(level));
+          const auto serial = ComputeKdv(task, rao, options.engine);
+          ASSERT_TRUE(serial.ok()) << label << ": "
+                                   << serial.status().ToString();
+          const auto rows = ComputeKdv(transposed.task(), base, options.engine);
+          ASSERT_TRUE(rows.ok()) << label << ": " << rows.status().ToString();
+          EXPECT_TRUE(SameBits(*serial, rows->Transposed())) << label;
+          for (const int threads : {1, 2, 3, 8}) {
+            options.num_threads = threads;
+            const auto parallel = ComputeKdvParallel(task, rao, options);
+            ASSERT_TRUE(parallel.ok()) << label << ": "
+                                       << parallel.status().ToString();
+            EXPECT_TRUE(SameBits(*parallel, *serial))
+                << label << ", " << threads << " threads";
           }
         }
       }

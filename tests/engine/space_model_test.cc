@@ -6,6 +6,7 @@
 
 #include "core/rao.h"
 #include "core/sweep_arena.h"
+#include "core/sweep_rows.h"
 #include "kdv/engine.h"
 #include "kdv/parallel.h"
 #include "testing/test_util.h"
@@ -54,10 +55,10 @@ TEST(SpaceModelTest, CoversWhatASlamComputeCharges) {
   // The pre-flight estimate has to bound what the compute then charges,
   // or a budget the pre-flight accepts is refused mid-sweep instead of
   // before any work. Every SLAM method, on a wide grid and a tall one (RAO
-  // sweeps columns, adding the line lane a column is stored from), near the
-  // origin and at 1e7 (the engine recenters), with a bandwidth that keeps a
-  // sliver of the points per line and one that keeps all of them on every
-  // line.
+  // sweeps columns, adding the block of lines its columns are stored
+  // from), near the origin and at 1e7 (the engine recenters), with a
+  // bandwidth that keeps a sliver of the points per line and one that keeps
+  // all of them on every line.
   const double extent = 100.0;
   const auto expect_covered = [](const KdvTask& task) {
     for (const Method method : AllMethods()) {
@@ -195,11 +196,11 @@ TEST(SpaceModelTest, CoversWhatEveryMethodHoldsSeriallyAndInParallel) {
   }
 }
 
-TEST(SpaceModelTest, RaoColumnSweepPeaksAtTheRowSweepPlusOneLine) {
+TEST(SpaceModelTest, RaoColumnSweepPeaksAtTheRowSweepPlusOneBlock) {
   // RAO on a tall grid sweeps the columns of the engine's one copy into the
   // one output raster, so its peak charge is the base method's on the
-  // transposed task plus the lane each column is stored from: no second
-  // copy of the points.
+  // transposed task plus the block of kColumnBlockLines lines its columns
+  // are stored from: no second copy of the points.
   const double extent = 100.0;
   const std::vector<Point> points = RandomPoints(2000, extent, /*seed=*/0x6B);
   const auto peak_bytes = [](const KdvTask& task, Method method) {
@@ -223,7 +224,8 @@ TEST(SpaceModelTest, RaoColumnSweepPeaksAtTheRowSweepPlusOneLine) {
     const TransposedTask transposed(task);
     EXPECT_LE(peak_bytes(task, Method::kSlamBucketRao),
               peak_bytes(transposed.task(), Method::kSlamBucket) +
-                  sizeof(double) * static_cast<size_t>(task.grid.height()))
+                  sizeof(double) * static_cast<size_t>(kColumnBlockLines) *
+                      static_cast<size_t>(task.grid.height()))
         << "b=" << bandwidth;
   }
 }
@@ -235,7 +237,7 @@ TEST(SpaceModelTest, CoversARaoColumnSweepOfASquareGrid) {
   // under it and a budget of exactly that figure succeeds, serially and on
   // 2 threads. The points lie in a 2-wide strip down the middle, so the
   // columns there see every point and the peak meets the estimate to the
-  // byte, the line lane a column is stored from included.
+  // byte, the block of lines its columns are stored from included.
   std::vector<Point> points = RandomPoints(2000, 100.0, /*seed=*/0x4D);
   for (Point& p : points) p.x = 99.0 + p.x / 50.0;
   for (const double bandwidth : {4.0, 10.0}) {
