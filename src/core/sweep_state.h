@@ -21,9 +21,10 @@
 //    contiguous, 32-byte-aligned array, with a parallel array of Neumaier
 //    compensation terms. The direct entry's row sweep keeps the L/U
 //    state register-resident across a row in 4-channel registers; the
-//    engine's bucket sums (simd/sweep_ops.h, bucket_sweep) store one such
-//    sums-then-compensations group per pixel bucket. Channel values and
-//    channel count per kernel are defined here so scalar and vector
+//    engine's bucket sums (simd/sweep_ops.h, bucket_sweep) store one
+//    group per pixel bucket: the hi parts of an exact split
+//    (SplitScale, SplitExact), then the lo parts. Channel values, channel
+//    count per kernel and the split are defined here so scalar and vector
 //    backends cannot drift.
 //
 // Because addition is commutative, the aggregates of L \ U at a pixel
@@ -32,11 +33,13 @@
 // v(p) into its lower bucket, subtracts it from its upper bucket and keeps
 // one running sum of the buckets, never ordering an endpoint; the direct
 // entry feeds these accumulators per-pixel runs from a counting sort, in
-// any order within a run. (The compensated rounding *error* does depend
-// on the order of the adds at the last-ulp level; the 1e-9 oracle bound is
-// what the methods promise, and it holds for any order.)
+// any order within a run. (The rounding does depend on the order of the
+// adds at the last-ulp level — in the bucket pass only that of the tiny lo
+// sums, since its hi sums are exact; the 1e-9 oracle bound is what the
+// methods promise, and it holds for any order.)
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 #include "geom/point.h"
@@ -150,18 +153,28 @@ inline void SweepChannelValues(double px, double py,
   v[kSweepChannelCount + 1] = 0.0;
 }
 
-/// Knuth's branchless two-sum: folds `value` into (sum, comp) as
-/// NeumaierAdd does. Both add the exact rounding error of sum + value to
-/// comp, so the two agree bit for bit, signed zeros included, wherever the
-/// sum does not overflow (SweepStateTest.TwoSumIsNeumaierAddBitForBit).
-/// This form has no branch to mispredict when the terms' magnitudes take
-/// turns, as a bucket's few mixed-sign terms do; the vector backends run
-/// the same operations in lanes.
-inline void TwoSumAdd(double& sum, double& comp, double value) {
-  const double t = sum + value;
-  const double bb = t - sum;
-  comp += (sum - (t - bb)) + (value - bb);
-  sum = t;
+/// The scale σ of an error-free split (Rump, Ogita & Oishi's
+/// ExtractVector) for the values of n points, each at most `bound` in
+/// magnitude: the smallest power of two at least 4 · n · bound (1 when
+/// that is 0). Split at σ (SplitExact), every hi part is a multiple of
+/// 2^-53 σ no larger than about `bound`, so no sum of at most 2n of them —
+/// the two endpoints of every point, in any order and any subset —
+/// reaches σ: every such sum is exact. σ is twice what that needs, so
+/// values a little past `bound` still sum exactly.
+inline double SplitScale(size_t n, double bound) {
+  int exponent = 0;
+  const double mantissa =
+      std::frexp(4.0 * static_cast<double>(n) * bound, &exponent);
+  return std::ldexp(mantissa == 0.5 ? 0.5 : 1.0, exponent);
+}
+
+/// Splits v at scale σ (SplitScale) into hi = (σ + v) − σ and lo = v − hi.
+/// For |v| <= σ both operations are exact: hi + lo == v, hi is a multiple
+/// of 2^-53 σ, and |lo| <= 2^-53 σ. The bucket pass adds hi and lo into
+/// separate sums, so only the tiny lo sums round.
+inline void SplitExact(double sigma, double v, double& hi, double& lo) {
+  hi = (sigma + v) - sigma;
+  lo = v - hi;
 }
 
 /// One side (L or U) of the SoA sweep state: contiguous sum lanes plus

@@ -435,7 +435,7 @@ size_t EstimateAuxiliarySpaceBytes(Method method, size_t n, int width,
       // widest envelope (at most n), the interval lanes (2 doubles) and the
       // bucket indices (2 int32), the envelope itself being read from the
       // copy; per pixel of a swept line, X + 1 buckets of quartic's 24
-      // doubles (12 sums and 12 compensation terms, the widest bucket — the
+      // doubles (12 sums and 12 lo sums, the widest bucket — the
       // estimate takes no kernel) and qx, plus RAO's block of
       // kColumnBlockLines lines.
       const size_t pixel_doubles =

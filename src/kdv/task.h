@@ -43,13 +43,14 @@ struct ComputeOptions {
   double akde_epsilon = 1e-6;
   /// QUAD baseline: bound-gap tolerance; 0 = exact filter-and-refine.
   double quad_epsilon = 0.0;
-  /// Sweep methods: accumulate the L/U aggregates with Neumaier-compensated
-  /// summation so long rows (millions of endpoint passes) don't drift. On
-  /// by default, and not cheap: serial ComputeKdv(SLAM_BUCKET_RAO) on the
-  /// benchmark workloads' seed-1 tasks (AVX2, on and off interleaved) took
-  /// 27–34% longer with it for Epanechnikov and 1.7–2.0× as long for
-  /// quartic; uniform counts are exact and cost the same either way
-  /// (DESIGN.md §6).
+  /// Sweep methods: compensate the L/U aggregates so long rows (millions
+  /// of endpoint passes) don't drift. The engine's bucket pass splits each
+  /// point's channel vector once into exact hi and lo parts and sums them
+  /// apart, so its hi sums are exact; the direct entry's run sweep keeps
+  /// Neumaier sums. On by default. Serial ComputeKdv(SLAM_BUCKET_RAO) on
+  /// the benchmark workloads' seed-1 tasks (AVX2, on and off interleaved)
+  /// took 11–13% longer with it for Epanechnikov and 28–31% for quartic;
+  /// uniform counts are exact and cost the same either way (DESIGN.md §6).
   bool compensated_aggregates = true;
   /// Sweep methods: instruction-set backend for the row primitives
   /// (src/simd/, DESIGN.md §11). kAuto picks the best available at runtime,

@@ -13,9 +13,11 @@
 //     (paper Eqs. 19–20).
 //   - bucket_sweep — Algorithm 2 on bucket sums: add each point's channel
 //     vector v(p) to its lower bucket and subtract it from its upper one,
-//     run one compensated sum over the buckets, and evaluate the kernel's
-//     closed-form polynomial at each pixel. Only each bucket's sum
-//     matters, so no endpoint is ever put in order.
+//     run one sum over the buckets, and evaluate the kernel's closed-form
+//     polynomial at each pixel. Only each bucket's sum matters, so no
+//     endpoint is ever put in order. Compensated, v(p) is split once into
+//     exact hi and lo parts (core/sweep_state.h, SplitExact), whose sums
+//     are kept apart: the hi sums are exact, and only the lo sums round.
 //
 // The direct ComputeSlamSort / ComputeSlamBucket entry (ComputeDirectSweep)
 // keeps Lemma 1's scan and the counting sort, five passes per row. No
@@ -36,15 +38,12 @@
 //
 // The scalar backend is the reference: it mirrors the sweep arithmetic of
 // core/sweep_state.h operation for operation. Vector backends replay the
-// identical operation sequence in lanes — no FMA contraction, Knuth
-// two-sum (TwoSumAdd, core/sweep_state.h, which the scalar bucket pass
-// takes too) in place of the branched Neumaier step (both produce the
-// exact rounding error of the addition, so they are interchangeable bit
-// for bit) — and are held to the scalar path and the long-double oracle
-// at 1e-9 by tests/simd/simd_equivalence_test.cc,
-// tests/simd/bucket_sweep_test.cc and fuzz/target_differential.cc. Only
-// bound_intervals, bucket_indices and (AVX2) bucket_sweep have vector
-// forms.
+// identical operation sequence in lanes — no FMA contraction, the same
+// split at the same σ, the same per-lane order of adds — and are held to
+// the scalar path bit for bit and to the long-double oracle at 1e-9 by
+// tests/simd/simd_equivalence_test.cc, tests/simd/bucket_sweep_test.cc and
+// fuzz/target_differential.cc. Only bound_intervals, bucket_indices and
+// (AVX2) bucket_sweep have vector forms.
 #pragma once
 
 #include <cstdint>
@@ -122,8 +121,9 @@ inline int BucketChannels(KernelType kernel) {
   return channels <= 1 ? channels : (channels + 3) / 4 * 4;
 }
 
-/// Doubles per bucket: BucketChannels sums, then as many compensation
-/// terms — 2 (uniform), 8 (Epanechnikov: one 64-byte line), 24 (quartic).
+/// Doubles per bucket: BucketChannels sums, then as many lo sums (the
+/// split's second halves) — 2 (uniform), 8 (Epanechnikov: one 64-byte
+/// line), 24 (quartic).
 inline size_t BucketStride(KernelType kernel) {
   return 2 * static_cast<size_t>(BucketChannels(kernel));
 }
@@ -136,9 +136,20 @@ inline size_t BucketStride(KernelType kernel) {
 /// (SweepChannelValues, row-local: p − origin) to bucket lower_idx[i] and
 /// subtracts it from bucket upper_idx[i] for i in [0, n) in order, lower
 /// first, then sums buckets 0..width − 1 left to right and evaluates pixel
-/// i on the running sum. With `compensated`, both levels — each bucket's
-/// sum and the running sum — are Neumaier sums, and the running sum folds
-/// each bucket's compensation term into its own.
+/// i on the running sum.
+///
+/// With `compensated`, each channel value is split once (SplitExact) at
+/// the line's σ for that channel: the smallest power of two at least
+/// 4n times a bound on the channel (SplitScale). Both endpoints add hi
+/// into the bucket's sums and lo into its lo sums, and the running sum
+/// keeps both and evaluates at hi + lo. The hi sums are exact at both
+/// levels, in any order; only the lo sums, each term below 2^-53 σ, round.
+/// The bounds come from the points' place: every point lies within b of
+/// the line's pixel span across the line, and within b of the line along
+/// it, so |px| <= max(|qx[0]|, |qx[width − 1]|) + b and |py| <= b. The
+/// engine's swept copy keeps only such points (OrderByReach). A point
+/// past the bound makes the sums round, as plain sums do; the scalar
+/// reference checks the bound in debug builds.
 struct BucketSweepArgs {
   KernelType kernel = KernelType::kEpanechnikov;
   bool compensated = true;

@@ -1,7 +1,15 @@
-// AVX2 backend: 4 doubles per operation. Compiled with -mavx2 (and
-// -ffp-contract=off — see below) on x86 only; on other targets, or when the
-// toolchain lacks AVX2 support, this TU degrades to a nullptr getter and
-// dispatch.cc never selects the level.
+// AVX2 backend: 4 doubles per operation, on x86 with GCC or Clang; on
+// other targets this TU degrades to a nullptr getter and dispatch.cc never
+// selects the level. The unit is compiled with the build's baseline flags
+// plus -ffp-contract=off (see below), and only the functions it defines
+// itself are AVX2 code: a target pragma after the includes marks them, so
+// every function the headers define keeps the baseline target. An inline
+// header function this unit does not inline (as at -O0) is then a weak
+// copy without VEX instructions, which the linker may safely hand to any
+// other unit. scripts/check_avx2_symbols.py (the avx2_symbols ctest, and a
+// Debug build in CI) checks both: the unit exports no function but
+// GetAvx2Ops(), and no exported function, GetAvx2Ops() included, contains
+// a VEX-encoded instruction.
 //
 // Bitwise-parity discipline (vs the scalar reference in
 // sweep_ops_inline.h):
@@ -9,12 +17,13 @@
 //    for lane — same association, same hoisted divisors (weight/b²
 //    evaluates identically per pixel whether hoisted or not, since the
 //    operands are loop-invariant);
-//  * no FMA: -mfma is never passed and -ffp-contract=off stops the
-//    compiler from contracting mul+add pairs, so each rounding matches the
-//    scalar code (which the default build cannot contract either — no FMA
-//    target);
-//  * compensation uses Knuth's branchless two-sum, which computes the same
-//    exact rounding error as the branched Neumaier step in kernel.h;
+//  * no FMA: the target is avx2 alone, never fma, and -ffp-contract=off
+//    stops the compiler from contracting mul+add pairs, so each rounding
+//    matches the scalar code (which the default build cannot contract
+//    either — no FMA target);
+//  * compensation splits each point's channel vector once, at the scalar
+//    reference's per-channel powers of two σ, with the same three
+//    operations per lane (SplitExact, core/sweep_state.h);
 //  * clamps are written max(x, 0) (second operand returned on equality) so
 //    ±0 results keep the scalar sign.
 //
@@ -30,7 +39,8 @@
 // (sweep_ops_inline.h) on this backend too.
 #include "simd/sweep_ops.h"
 
-#if defined(__AVX2__)
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
 
 #include <immintrin.h>
 
@@ -39,19 +49,18 @@
 
 #include "simd/sweep_ops_inline.h"
 
+// From here to GetAvx2Ops(), every function is compiled for AVX2.
+#if defined(__clang__)
+#pragma clang attribute push(__attribute__((target("avx2"))), \
+                             apply_to = function)
+#else
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#endif
+
 namespace slam {
 
 namespace {
-
-/// Knuth two-sum: folds v into (sum, comp) exactly like NeumaierAdd.
-inline void TwoSumAccumulate(__m256d& sum, __m256d& comp, __m256d v) {
-  const __m256d t = _mm256_add_pd(sum, v);
-  const __m256d bb = _mm256_sub_pd(t, sum);
-  const __m256d err = _mm256_add_pd(
-      _mm256_sub_pd(sum, _mm256_sub_pd(t, bb)), _mm256_sub_pd(v, bb));
-  comp = _mm256_add_pd(comp, err);
-  sum = t;
-}
 
 inline void Transpose4x4(__m256d r0, __m256d r1, __m256d r2, __m256d r3,
                          __m256d& c0, __m256d& c1, __m256d& c2,
@@ -249,53 +258,67 @@ void EvaluateQuartic(const BucketSweepArgs& a, size_t stride) {
 // ---------------------------------------------------------------------------
 //
 // One bucket is BucketStride(kernel) doubles: the channel sums in whole
-// registers, then their compensation terms — one 64-byte line for
-// Epanechnikov, three registers of each for quartic. Channel vectors are
-// built 4 points at a time and transposed to one register per point; each
-// point then takes one two-sum per register into its lower bucket and one,
-// negated, into its upper bucket, in slice order, so each channel sees the
-// scalar reference's sequence of adds. The running sum writes each pixel's
-// differences over its own bucket's sums, where the evaluation above reads
-// them through the bucket stride.
+// registers, then as many lo sums — one 64-byte line for Epanechnikov,
+// three registers of each for quartic. Channel vectors are built 4 points
+// at a time and transposed to one register per point. Compensated, each
+// register is split once at its channels' σ (the scalar reference's
+// SplitScales); both endpoints then add plainly, hi into the bucket's sums
+// and lo into its lo sums, the lower endpoint first and points in slice
+// order, so each lane sees the scalar reference's sequence of adds. The
+// running sum writes each pixel's differences over its own bucket's sums,
+// where the evaluation above reads them through the bucket stride.
 
-/// Folds v into the sums at `bucket` and, compensated, the compensation
-/// terms `comp` doubles later — NeumaierAdd's arithmetic, per channel.
-template <bool kCompensated>
-inline void BucketAdd(double* bucket, size_t comp, __m256d v) {
-  __m256d sum = _mm256_loadu_pd(bucket);
-  if constexpr (kCompensated) {
-    __m256d c = _mm256_loadu_pd(bucket + comp);
-    TwoSumAccumulate(sum, c, v);
-    _mm256_storeu_pd(bucket + comp, c);
+/// Adds v to the 4 doubles at `at`, or subtracts it.
+template <bool kAdd>
+inline void AddAt(double* at, __m256d v) {
+  const __m256d sum = _mm256_loadu_pd(at);
+  if constexpr (kAdd) {
+    _mm256_storeu_pd(at, _mm256_add_pd(sum, v));
   } else {
-    sum = _mm256_add_pd(sum, v);
+    _mm256_storeu_pd(at, _mm256_sub_pd(sum, v));
   }
-  _mm256_storeu_pd(bucket, sum);
+}
+
+/// One register of a point's channel vector into its lower bucket and out
+/// of its upper one. Compensated, v is split at `sigma` (SplitExact): hi
+/// goes into the sums and lo into the slots `lo_at` doubles later.
+template <bool kCompensated>
+inline void Scatter(double* lower, double* upper, size_t lo_at,
+                    __m256d sigma, __m256d v) {
+  if constexpr (kCompensated) {
+    const __m256d hi = _mm256_sub_pd(_mm256_add_pd(sigma, v), sigma);
+    const __m256d lo = _mm256_sub_pd(v, hi);
+    AddAt<true>(lower, hi);
+    AddAt<true>(lower + lo_at, lo);
+    AddAt<false>(upper, hi);
+    AddAt<false>(upper + lo_at, lo);
+  } else {
+    AddAt<true>(lower, v);
+    AddAt<false>(upper, v);
+  }
 }
 
 /// The running sum over buckets 0..width − 1, kRegisters 4-channel groups
 /// per bucket: pixel ix's channel differences overwrite bucket ix's sums.
 template <bool kCompensated, int kRegisters>
 void RunningSum(const BucketSweepArgs& a) {
-  constexpr size_t kComp = 4 * kRegisters;
-  constexpr size_t kStride = 2 * kComp;
+  constexpr size_t kLoAt = 4 * kRegisters;
+  constexpr size_t kStride = 2 * kLoAt;
   __m256d run[kRegisters];
-  __m256d run_comp[kRegisters];
+  __m256d run_lo[kRegisters];
   for (int r = 0; r < kRegisters; ++r) {
     run[r] = _mm256_setzero_pd();
-    run_comp[r] = _mm256_setzero_pd();
+    run_lo[r] = _mm256_setzero_pd();
   }
   for (int ix = 0; ix < a.width; ++ix) {
     double* bucket = a.buckets + static_cast<size_t>(ix) * kStride;
     for (int r = 0; r < kRegisters; ++r) {
       double* lane = bucket + 4 * r;
+      run[r] = _mm256_add_pd(run[r], _mm256_loadu_pd(lane));
       if constexpr (kCompensated) {
-        TwoSumAccumulate(run[r], run_comp[r], _mm256_loadu_pd(lane));
-        run_comp[r] =
-            _mm256_add_pd(run_comp[r], _mm256_loadu_pd(lane + kComp));
-        _mm256_storeu_pd(lane, _mm256_add_pd(run[r], run_comp[r]));
+        run_lo[r] = _mm256_add_pd(run_lo[r], _mm256_loadu_pd(lane + kLoAt));
+        _mm256_storeu_pd(lane, _mm256_add_pd(run[r], run_lo[r]));
       } else {
-        run[r] = _mm256_add_pd(run[r], _mm256_loadu_pd(lane));
         _mm256_storeu_pd(lane, run[r]);
       }
     }
@@ -307,6 +330,12 @@ void ZeroBuckets(const BucketSweepArgs& a) {
             a.buckets + (static_cast<size_t>(a.width) + 1) *
                             BucketStride(a.kernel),
             0.0);
+}
+
+/// Bucket `index` of the line, `stride` doubles per bucket.
+inline double* BucketAt(const BucketSweepArgs& a, int32_t index,
+                        size_t stride) {
+  return a.buckets + static_cast<size_t>(index) * stride;
 }
 
 /// Uniform kernel: each bucket's count is an exact integer, so both
@@ -326,18 +355,41 @@ void BucketSweepUniform(const BucketSweepArgs& a) {
   }
 }
 
+/// Epanechnikov's bucket: 4 sums, then 4 lo sums (BucketStride).
+constexpr size_t kEpanStride = 8;
+
+/// Point i's 4 channels, register v, into its buckets (Scatter).
+template <bool kCompensated>
+inline void ScatterEpan(const BucketSweepArgs& a, size_t i, __m256d sigma,
+                        __m256d v) {
+  Scatter<kCompensated>(BucketAt(a, a.lower_idx[i], kEpanStride),
+                        BucketAt(a, a.upper_idx[i], kEpanStride),
+                        kEpanStride / 2, sigma, v);
+}
+
+/// Quartic's bucket: 12 sums (10 channels and 2 of padding), then 12 lo
+/// sums (BucketStride).
+constexpr size_t kQuarticStride = 24;
+
+/// Point i's 12 channels, registers v0–v2, into its buckets (Scatter).
+template <bool kCompensated>
+inline void ScatterQuartic(const BucketSweepArgs& a, size_t i,
+                           const __m256d sigma[3], __m256d v0, __m256d v1,
+                           __m256d v2) {
+  constexpr size_t kLoAt = kQuarticStride / 2;
+  double* lower = BucketAt(a, a.lower_idx[i], kQuarticStride);
+  double* upper = BucketAt(a, a.upper_idx[i], kQuarticStride);
+  Scatter<kCompensated>(lower, upper, kLoAt, sigma[0], v0);
+  Scatter<kCompensated>(lower + 4, upper + 4, kLoAt, sigma[1], v1);
+  Scatter<kCompensated>(lower + 8, upper + 8, kLoAt, sigma[2], v2);
+}
+
 template <bool kCompensated>
 void BucketSweepEpan(const BucketSweepArgs& a) {
-  constexpr size_t kStride = 8;  // BucketStride(kEpanechnikov)
   ZeroBuckets(a);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const auto scatter = [&](size_t i, __m256d v) {
-    BucketAdd<kCompensated>(
-        a.buckets + static_cast<size_t>(a.lower_idx[i]) * kStride, 4, v);
-    BucketAdd<kCompensated>(
-        a.buckets + static_cast<size_t>(a.upper_idx[i]) * kStride, 4,
-        _mm256_xor_pd(v, sign));
-  };
+  double scales[kSweepChannelsPadded] = {};
+  if constexpr (kCompensated) simd_internal::SplitScales(a, scales);
+  const __m256d sigma = _mm256_loadu_pd(scales);
   const __m256d ox = _mm256_set1_pd(a.origin_x);
   const __m256d oy = _mm256_set1_pd(a.origin_y);
   const __m256d one = _mm256_set1_pd(1.0);
@@ -350,36 +402,29 @@ void BucketSweepEpan(const BucketSweepArgs& a) {
     // Channel order (core/sweep_state.h): count Ax Ay S.
     __m256d v0, v1, v2, v3;
     Transpose4x4(one, px, py, s, v0, v1, v2, v3);
-    scatter(i, v0);
-    scatter(i + 1, v1);
-    scatter(i + 2, v2);
-    scatter(i + 3, v3);
+    ScatterEpan<kCompensated>(a, i, sigma, v0);
+    ScatterEpan<kCompensated>(a, i + 1, sigma, v1);
+    ScatterEpan<kCompensated>(a, i + 2, sigma, v2);
+    ScatterEpan<kCompensated>(a, i + 3, sigma, v3);
   }
   for (; i < a.n; ++i) {
     const double px = a.ex[i] - a.origin_x;
     const double py = a.ey[i] - a.origin_y;
-    scatter(i, _mm256_set_pd(px * px + py * py, py, px, 1.0));
+    ScatterEpan<kCompensated>(a, i, sigma,
+                              _mm256_set_pd(px * px + py * py, py, px, 1.0));
   }
   RunningSum<kCompensated, 1>(a);
-  EvaluateEpan(a, kStride);
+  EvaluateEpan(a, kEpanStride);
 }
 
 template <bool kCompensated>
 void BucketSweepQuartic(const BucketSweepArgs& a) {
-  constexpr size_t kStride = 24;  // BucketStride(kQuartic)
-  constexpr size_t kComp = 12;
   ZeroBuckets(a);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  const auto scatter = [&](size_t i, __m256d v0, __m256d v1, __m256d v2) {
-    double* lower = a.buckets + static_cast<size_t>(a.lower_idx[i]) * kStride;
-    BucketAdd<kCompensated>(lower, kComp, v0);
-    BucketAdd<kCompensated>(lower + 4, kComp, v1);
-    BucketAdd<kCompensated>(lower + 8, kComp, v2);
-    double* upper = a.buckets + static_cast<size_t>(a.upper_idx[i]) * kStride;
-    BucketAdd<kCompensated>(upper, kComp, _mm256_xor_pd(v0, sign));
-    BucketAdd<kCompensated>(upper + 4, kComp, _mm256_xor_pd(v1, sign));
-    BucketAdd<kCompensated>(upper + 8, kComp, _mm256_xor_pd(v2, sign));
-  };
+  double scales[kSweepChannelsPadded] = {};
+  if constexpr (kCompensated) simd_internal::SplitScales(a, scales);
+  const __m256d sigma[3] = {_mm256_loadu_pd(scales),
+                            _mm256_loadu_pd(scales + 4),
+                            _mm256_loadu_pd(scales + 8)};
   const __m256d ox = _mm256_set1_pd(a.origin_x);
   const __m256d oy = _mm256_set1_pd(a.origin_y);
   const __m256d one = _mm256_set1_pd(1.0);
@@ -400,21 +445,22 @@ void BucketSweepQuartic(const BucketSweepArgs& a) {
     __m256d c0, c1, c2, c3;
     Transpose4x4(_mm256_mul_pd(px, py), _mm256_mul_pd(py, py), zero, zero, c0,
                  c1, c2, c3);
-    scatter(i, a0, b0, c0);
-    scatter(i + 1, a1, b1, c1);
-    scatter(i + 2, a2, b2, c2);
-    scatter(i + 3, a3, b3, c3);
+    ScatterQuartic<kCompensated>(a, i, sigma, a0, b0, c0);
+    ScatterQuartic<kCompensated>(a, i + 1, sigma, a1, b1, c1);
+    ScatterQuartic<kCompensated>(a, i + 2, sigma, a2, b2, c2);
+    ScatterQuartic<kCompensated>(a, i + 3, sigma, a3, b3, c3);
   }
   for (; i < a.n; ++i) {
     const double px = a.ex[i] - a.origin_x;
     const double py = a.ey[i] - a.origin_y;
     const double s = px * px + py * py;
-    scatter(i, _mm256_set_pd(s, py, px, 1.0),
-            _mm256_set_pd(px * px, s * s, py * s, px * s),
-            _mm256_set_pd(0.0, 0.0, py * py, px * py));
+    ScatterQuartic<kCompensated>(
+        a, i, sigma, _mm256_set_pd(s, py, px, 1.0),
+        _mm256_set_pd(px * px, s * s, py * s, px * s),
+        _mm256_set_pd(0.0, 0.0, py * py, px * py));
   }
   RunningSum<kCompensated, 3>(a);
-  EvaluateQuartic(a, kStride);
+  EvaluateQuartic(a, kQuarticStride);
 }
 
 void BucketSweep(const BucketSweepArgs& a) {
@@ -453,12 +499,22 @@ constexpr SimdOps kAvx2Ops = {
 };
 
 }  // namespace
+}  // namespace slam
 
+#if defined(__clang__)
+#pragma clang attribute pop
+#else
+#pragma GCC pop_options
+#endif
+
+namespace slam {
+
+// Baseline code: dispatch.cc calls this before it checks the CPU.
 const SimdOps* GetAvx2Ops() { return &kAvx2Ops; }
 
 }  // namespace slam
 
-#else  // !defined(__AVX2__)
+#else  // not x86 with GCC or Clang
 
 namespace slam {
 

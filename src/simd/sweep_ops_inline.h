@@ -3,11 +3,11 @@
 // the vector backends (which use them for remainder tails and for the
 // passes they leave scalar). Header-only so each backend translation unit
 // compiles them with its own (contraction-free) flag set — and with
-// internal linkage, so each unit keeps its own copy. With external linkage
-// the -mavx2 unit would emit weak VEX-encoded copies of any function it
-// does not inline, and the linker could hand one of those to the scalar
-// table. The avx2_symbols ctest (scripts/check_avx2_symbols.py) fails if
-// that unit defines a global or weak function other than GetAvx2Ops.
+// internal linkage, so each unit keeps its own copy. The AVX2 unit
+// includes this header before its target pragma, so its copy is baseline
+// code, and the internal linkage keeps it private: the avx2_symbols ctest
+// (scripts/check_avx2_symbols.py) fails if that unit defines a global or
+// weak function other than GetAvx2Ops.
 //
 // Everything here mirrors the pre-SoA sweep arithmetic operation for
 // operation — see the bitwise-parity notes in sweep_ops.h. Changing an
@@ -27,6 +27,7 @@
 #include "kdv/grid.h"
 #include "kdv/kernel.h"
 #include "simd/sweep_ops.h"
+#include "util/logging.h"
 
 namespace slam::simd_internal {
 namespace {
@@ -137,50 +138,91 @@ inline void RowSweepScalar(const RowSweepArgs& a, RowSweepScratch* /*s*/) {
   }
 }
 
-/// The reference bucket pass (BucketSweepArgs): per channel, one
-/// Neumaier step per endpoint — each point's lower endpoint, then its
-/// upper, points in slice order — then one running Neumaier sum over the
-/// pixel buckets that folds in each bucket's compensation term, evaluated
-/// at each pixel. Both levels take the step as the branchless TwoSumAdd
-/// (core/sweep_state.h), which gives NeumaierAdd's bits without its
-/// mispredicted branch. The count channel adds plainly at both levels, as
-/// in SoaAccumulator::Add: its sums are exact integers, so its compensation
-/// terms stay +0. The uncompensated form adds plainly everywhere.
+/// The bound BucketSweepArgs states on a point's row-local coordinates:
+/// |px| up to the farther pixel's |qx| plus b, |py| up to b.
+inline Point SplitBound(const BucketSweepArgs& a) {
+  const double span =
+      a.width > 0 ? std::max(std::abs(a.qx[0]), std::abs(a.qx[a.width - 1]))
+                  : 0.0;
+  return {span + a.bandwidth, a.bandwidth};
+}
+
+/// σ of each live channel's split for one line (SplitScale,
+/// core/sweep_state.h): the line's n channel vectors are bounded by the
+/// vector of the bound point, because rounding is monotone. The other
+/// entries are left alone; a zero σ splits their zero values into zeros.
+inline void SplitScales(const BucketSweepArgs& a,
+                        double sigma[kSweepChannelsPadded]) {
+  const Point bound = SplitBound(a);
+  double v[kSweepChannelsPadded];
+  SweepChannelValues(bound.x, bound.y, v);
+  for (int ch = 0; ch < SweepChannels(a.kernel); ++ch) {
+    sigma[ch] = SplitScale(a.n, v[ch]);
+  }
+}
+
+/// The reference bucket pass (BucketSweepArgs). Compensated, each point's
+/// channel value v is split once at its channel's σ (SplitExact): both
+/// endpoints add hi into the bucket's sums and lo into the slots after
+/// them, the lower endpoint first, points in slice order. The running sum
+/// adds both halves too and evaluates each pixel at hi + lo. The hi sums
+/// are exact at both levels in any order, so only the lo sums round. The
+/// count channel adds plainly, as in SoaAccumulator::Add: its sums are
+/// exact integers, so its lo slots stay +0 (what splitting 1 gives). The
+/// uncompensated form adds plainly everywhere.
 template <bool kCompensated>
 void BucketSweepScalarImpl(const BucketSweepArgs& a) {
   const int channels = SweepChannels(a.kernel);
   const size_t stride = BucketStride(a.kernel);
-  // A bucket's compensation terms follow its sums.
-  const auto comp = static_cast<size_t>(BucketChannels(a.kernel));
+  // A bucket's lo sums follow its hi sums.
+  const auto lo_at = static_cast<size_t>(BucketChannels(a.kernel));
   std::fill(a.buckets,
             a.buckets + (static_cast<size_t>(a.width) + 1) * stride, 0.0);
-  const auto add = [&](double* bucket, double value, int ch) {
-    if (kCompensated && ch != kChCount) {
-      TwoSumAdd(bucket[ch], bucket[comp + static_cast<size_t>(ch)], value);
-    } else {
-      bucket[ch] += value;
-    }
-  };
+  // Only the split needs the bound. σ keeps a factor of two to spare, so
+  // points up to an eighth past it still sum exactly ((9/8)^4 < 2); past
+  // that the sums only round.
+  const bool split = kCompensated && channels > 1;
+  [[maybe_unused]] const Point bound = SplitBound(a);
+  double sigma[kSweepChannelsPadded] = {};
+  if (split) SplitScales(a, sigma);
   double v[kSweepChannelsPadded];
   for (size_t i = 0; i < a.n; ++i) {
-    SweepChannelValues(a.ex[i] - a.origin_x, a.ey[i] - a.origin_y, v);
+    const double px = a.ex[i] - a.origin_x;
+    const double py = a.ey[i] - a.origin_y;
+    SLAM_DCHECK(!split || (std::abs(px) <= 1.125 * bound.x &&
+                           std::abs(py) <= 1.125 * bound.y))
+        << "point " << i << " at (" << px << ", " << py
+        << ") lies past b of the line's pixels";
+    SweepChannelValues(px, py, v);
     double* lower = a.buckets + static_cast<size_t>(a.lower_idx[i]) * stride;
     double* upper = a.buckets + static_cast<size_t>(a.upper_idx[i]) * stride;
-    for (int ch = 0; ch < channels; ++ch) add(lower, v[ch], ch);
-    for (int ch = 0; ch < channels; ++ch) add(upper, -v[ch], ch);
+    for (int ch = 0; ch < channels; ++ch) {
+      if (kCompensated && ch != kChCount) {
+        const auto lo_ch = lo_at + static_cast<size_t>(ch);
+        double hi = 0.0;
+        double lo = 0.0;
+        SplitExact(sigma[ch], v[ch], hi, lo);
+        lower[ch] += hi;
+        lower[lo_ch] += lo;
+        upper[ch] -= hi;
+        upper[lo_ch] -= lo;
+      } else {
+        lower[ch] += v[ch];
+        upper[ch] -= v[ch];
+      }
+    }
   }
   double run[kSweepChannelsPadded] = {};
-  double run_comp[kSweepChannelsPadded] = {};
+  double run_lo[kSweepChannelsPadded] = {};
   double d[kSweepChannelsPadded] = {};
   for (int ix = 0; ix < a.width; ++ix) {
     const double* bucket = a.buckets + static_cast<size_t>(ix) * stride;
     for (int ch = 0; ch < channels; ++ch) {
+      run[ch] += bucket[ch];
       if (kCompensated && ch != kChCount) {
-        TwoSumAdd(run[ch], run_comp[ch], bucket[ch]);
-        run_comp[ch] += bucket[comp + static_cast<size_t>(ch)];
-        d[ch] = run[ch] + run_comp[ch];
+        run_lo[ch] += bucket[lo_at + static_cast<size_t>(ch)];
+        d[ch] = run[ch] + run_lo[ch];
       } else {
-        run[ch] += bucket[ch];
         d[ch] = run[ch];
       }
     }

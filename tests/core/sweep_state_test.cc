@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -90,79 +91,155 @@ TEST(SweepStateTest, UpperSubsetOfLowerKeepsDensityNonNegative) {
   }
 }
 
-/// Folds `values` into one (sum, comp) pair with NeumaierAdd and into
-/// another with TwoSumAdd, from the same start, and requires both pairs'
-/// bit patterns to agree after every add.
-void ExpectTwoSumIsNeumaier(double sum, double comp,
-                            const std::vector<double>& values,
-                            const std::string& where) {
-  double neumaier_sum = sum;
-  double neumaier_comp = comp;
-  double two_sum = sum;
-  double two_comp = comp;
-  for (size_t i = 0; i < values.size(); ++i) {
-    NeumaierAdd(neumaier_sum, neumaier_comp, values[i]);
-    TwoSumAdd(two_sum, two_comp, values[i]);
-    ASSERT_EQ(std::bit_cast<uint64_t>(two_sum),
-              std::bit_cast<uint64_t>(neumaier_sum))
-        << where << " add " << i << ": sum " << two_sum << " vs "
-        << neumaier_sum;
-    ASSERT_EQ(std::bit_cast<uint64_t>(two_comp),
-              std::bit_cast<uint64_t>(neumaier_comp))
-        << where << " add " << i << ": comp " << two_comp << " vs "
-        << neumaier_comp;
+// The bucket pass's error-free split (SplitScale, SplitExact): every hi
+// part is a multiple of 2^-53 σ, and no sum of at most 2n of them reaches
+// σ, so the bucket sums and the running sum of the hi parts are exact in
+// any order; only the lo sums round.
+
+/// The unit of every hi part at scale σ.
+double HiUnit(double sigma) { return std::ldexp(sigma, -53); }
+
+/// Values a line's channel takes, each at most `bound` in magnitude: ±M,
+/// M less one rounding, both zeros, subnormals, exact cancellations of the
+/// value before, magnitudes spread far below M, and uniform draws.
+std::vector<double> MixedValues(size_t count, double bound, Rng* rng) {
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values;
+  for (size_t i = 0; i < count; ++i) {
+    const double sign = rng->NextBelow(2) == 0 ? 1.0 : -1.0;
+    double v = 0.0;
+    switch (i % 8) {
+      case 0:
+        v = sign * bound;
+        break;
+      case 1:
+        v = sign * bound * (1.0 - 0x1p-53);
+        break;
+      case 2:
+        v = sign * 0.0;
+        break;
+      case 3:
+        v = sign * kDenorm * static_cast<double>(1 + rng->NextBelow(7));
+        break;
+      case 4:
+        v = values.empty() ? 0.0 : -values.back();
+        break;
+      case 5:
+        v = std::ldexp(rng->Uniform(-bound, bound),
+                       -static_cast<int>(rng->NextBelow(80)));
+        break;
+      default:
+        v = rng->Uniform(-bound, bound);
+        break;
+    }
+    values.push_back(v);
   }
+  return values;
 }
 
-TEST(SweepStateTest, TwoSumIsNeumaierAddBitForBit) {
-  // The scalar reference's bucket sums and the AVX2 backend take Knuth's
-  // branchless two-sum where CompensatedRangeAggregates takes the branched
-  // NeumaierAdd; the engine's rasters are the same bits only if the two
-  // agree on every add, sum and compensation term alike.
-  constexpr double kMin = std::numeric_limits<double>::min();
-  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
-  // Single adds from every start in the cross product: mixed signs with
-  // |value| below, equal to and above |sum|, exact cancellations, both
-  // zeros, subnormals and magnitudes out to 1e300.
-  const std::vector<double> magnitudes = {
-      0.0,     kDenorm, 3 * kDenorm, kMin / 2, kMin,   1e-300, 1e-17, 0.1,
-      1.0 / 3, 0.5,     1.0,         1.0 + 0x1p-52,    3.0,    1e17,  1e300};
-  std::vector<double> values;
-  for (const double m : magnitudes) {
-    values.push_back(m);
-    values.push_back(-m);  // -0.0 for m = 0
+TEST(ExactSplitTest, ScaleIsTheSmallestPowerOfTwoAtLeastFourNTimesTheBound) {
+  for (const size_t n : {size_t{1}, size_t{3}, size_t{997}, size_t{10000},
+                         size_t{1} << 31}) {
+    for (const double bound : {1.0, 0.75, 3e-7, 690.6, 1e12, 1e48}) {
+      const double sigma = SplitScale(n, bound);
+      const double target = 4.0 * static_cast<double>(n) * bound;
+      int exponent = 0;
+      EXPECT_EQ(std::frexp(sigma, &exponent), 0.5) << sigma;
+      EXPECT_GE(sigma, target) << "n=" << n << " bound=" << bound;
+      EXPECT_LT(sigma / 2, target) << "n=" << n << " bound=" << bound;
+    }
   }
-  for (const double sum : values) {
-    for (const double comp : values) {
-      for (const double value : values) {
-        ExpectTwoSumIsNeumaier(sum, comp, {value},
-                               "start (" + std::to_string(sum) + ", " +
-                                   std::to_string(comp) + ") add " +
-                                   std::to_string(value));
+  // A power of two times 4n is its own scale; nothing to split scales 1.
+  EXPECT_EQ(SplitScale(4, 0.5), 8.0);
+  EXPECT_EQ(SplitScale(0, 5.0), 1.0);
+  EXPECT_EQ(SplitScale(9, 0.0), 1.0);
+}
+
+TEST(ExactSplitTest, PartsAreExactAndHiIsOnTheScalesGrid) {
+  Rng rng(241);
+  for (const double bound : {1.0, 3e-7, 690.6, 1e12, 1e48}) {
+    for (const size_t n : {size_t{1}, size_t{997}, size_t{10000}}) {
+      const double sigma = SplitScale(n, bound);
+      for (const double v : MixedValues(4000, bound, &rng)) {
+        double hi = 0.0;
+        double lo = 0.0;
+        SplitExact(sigma, v, hi, lo);
+        SCOPED_TRACE("bound=" + std::to_string(bound) +
+                     " n=" + std::to_string(n) + " v=" + std::to_string(v));
+        if (v == 0.0) {
+          // σ − σ is +0, so −0 splits into +0 and −0, whose sum is +0.
+          EXPECT_EQ(hi, 0.0);
+          EXPECT_EQ(lo, 0.0);
+          EXPECT_EQ(std::signbit(lo), std::signbit(v));
+        } else {
+          EXPECT_EQ(std::bit_cast<uint64_t>(hi + lo),
+                    std::bit_cast<uint64_t>(v));
+        }
+        EXPECT_EQ(std::fmod(hi, HiUnit(sigma)), 0.0) << hi;
+        EXPECT_LE(std::abs(lo), HiUnit(sigma));
+        EXPECT_LE(std::abs(hi), std::abs(v) + HiUnit(sigma));
       }
     }
   }
-  // Exact cancellations and signed zeros in sequence.
-  ExpectTwoSumIsNeumaier(0.0, 0.0, {1.0, -1.0, 0.0, -0.0, 0.1, -0.1, -0.0},
-                         "cancellations");
-  ExpectTwoSumIsNeumaier(-0.0, -0.0, {-0.0, -0.0, 0.0, -0.0}, "zeros");
-  ExpectTwoSumIsNeumaier(0.0, 0.0,
-                         {kDenorm, -kDenorm, kMin, -kDenorm, kMin / 4, -kMin},
-                         "subnormals");
-  // Long mixed-sign sequences: magnitudes spread over 10^±300 (never near
-  // overflow), and ones of one scale, the shape of a pixel bucket's terms.
-  Rng rng(233);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<double> sequence;
-    const bool spread = trial % 2 == 0;
-    for (int i = 0; i < 500; ++i) {
-      const double mantissa = rng.Uniform(-1.0, 1.0);
-      const int exponent =
-          spread ? static_cast<int>(rng.NextBelow(1993)) - 996 : 0;
-      sequence.push_back(std::ldexp(mantissa, exponent));
+}
+
+TEST(ExactSplitTest, HiSumsAreExactInAnyOrderAndOnlyLoSumsRound) {
+  Rng rng(977);
+  for (const double bound : {1.0, 690.6, 1e12, 1e48}) {
+    for (const size_t n : {size_t{1}, size_t{7}, size_t{997}, size_t{10000}}) {
+      SCOPED_TRACE("bound=" + std::to_string(bound) +
+                   " n=" + std::to_string(n));
+      // Both endpoints of n points: 2n terms, as one line's buckets and
+      // running sum see them.
+      const std::vector<double> values = MixedValues(2 * n, bound, &rng);
+      const double sigma = SplitScale(n, bound);
+      std::vector<double> his;
+      std::vector<double> los;
+      for (const double v : values) {
+        double hi = 0.0;
+        double lo = 0.0;
+        SplitExact(sigma, v, hi, lo);
+        his.push_back(hi);
+        los.push_back(lo);
+      }
+      // The exact sum of the hi parts, and a near-exact one of the lo parts.
+      long double exact_hi = 0.0L;
+      long double exact_lo = 0.0L;
+      long double lo_magnitude = 0.0L;
+      for (size_t i = 0; i < values.size(); ++i) {
+        exact_hi += his[i];
+        exact_lo += los[i];
+        lo_magnitude += std::abs(los[i]);
+      }
+      std::vector<size_t> order(values.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      uint64_t first_bits = 0;
+      for (int trial = 0; trial < 6; ++trial) {
+        if (trial == 1) std::reverse(order.begin(), order.end());
+        if (trial > 1) rng.Shuffle(&order);
+        double hi_sum = 0.0;
+        double lo_sum = 0.0;
+        for (const size_t i : order) {
+          hi_sum += his[i];
+          lo_sum += los[i];
+        }
+        ASSERT_EQ(static_cast<long double>(hi_sum), exact_hi)
+            << "trial " << trial;
+        if (trial == 0) first_bits = std::bit_cast<uint64_t>(hi_sum);
+        ASSERT_EQ(std::bit_cast<uint64_t>(hi_sum), first_bits)
+            << "trial " << trial;
+        // The two levels together: the exact sum, off by one rounding of
+        // the result and the lo sum's own rounding (at most 2n − 1 adds of
+        // terms below 2^-53 σ).
+        const long double exact = exact_hi + exact_lo;
+        const double total = hi_sum + lo_sum;
+        const long double unit = 0x1p-53L;
+        EXPECT_LE(std::abs(static_cast<long double>(total) - exact),
+                  unit * std::abs(exact) +
+                      static_cast<long double>(2 * n) * unit * lo_magnitude)
+            << "trial " << trial;
+      }
     }
-    ExpectTwoSumIsNeumaier(0.0, 0.0, sequence,
-                           "sequence " + std::to_string(trial));
   }
 }
 
