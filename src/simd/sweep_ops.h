@@ -145,9 +145,9 @@ inline size_t BucketStride(KernelType kernel) {
 /// keeps both and evaluates at hi + lo. The hi sums are exact at both
 /// levels, in any order; only the lo sums, each term below 2^-53 σ, round.
 /// The bounds come from the points' place: every point lies within b of
-/// the line's pixel span across the line, and within b of the line along
-/// it, so |px| <= max(|qx[0]|, |qx[width − 1]|) + b and |py| <= b. The
-/// engine's swept copy keeps only such points (OrderByReach). A point
+/// the line (the envelope, |py| <= b) and, along the line, within b of its
+/// pixel span (|px| <= max(|qx[0]|, |qx[width − 1]|) + b). The engine's
+/// swept copy keeps only such points (OrderByReach). A point
 /// past the bound makes the sums round, as plain sums do; the scalar
 /// reference checks the bound in debug builds.
 struct BucketSweepArgs {
